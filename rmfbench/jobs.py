@@ -24,20 +24,21 @@ WORKLOADS = ("mesh_rmf", "mesh_explicit", "verify_rmf")
 
 # (n_s, n_v, curve kind, coefficient families of x1, x2, x3)
 MESH_SLOTS = (
-    (40, 14, "helix", ("poly", "trig", "poly")),
-    (56, 10, "helix", ("trig", "poly", "trig")),
-    (30, 20, "circle", ("poly", "poly", "trig")),
-    (48, 12, "helix", ("trig", "trig", "poly")),
+    (100, 11, "helix", ("poly", "trig", "poly")),
+    (96, 12, "helix", ("trig", "poly", "trig")),
+    (104, 10, "circle", ("poly", "poly", "trig")),
+    (102, 11, "helix", ("trig", "trig", "poly")),
+    (98, 11, "helix", ("poly", "trig", "trig")),
 )
 # (n_s, n_v, curve kind, case); the cases follow the paper's conditions on the
 # director.  An odd number of slots keeps the median job inside one slot's
 # group of times rather than on the step between two groups.
 VERIFY_SLOTS = (
-    (64, 5, "helix", "developable"),
-    (72, 4, "helix", "geodesic"),
-    (56, 6, "helix", "asymptotic"),
-    (60, 5, "circle", "general"),
-    (52, 5, "circle", "geodesic"),
+    (100, 5, "helix", "developable"),
+    (104, 4, "helix", "geodesic"),
+    (96, 6, "helix", "asymptotic"),
+    (102, 5, "circle", "general"),
+    (98, 5, "circle", "geodesic"),
 )
 
 # Residuals the construction makes zero come out near 1e-16; a condition

@@ -30,21 +30,24 @@ import reference
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = HERE / "_work"
-# Fresh interpreters timed per run, half before the jobs and half after, so
-# that the median spans the run; one warm-up import before them is dropped.
-SETUP_SAMPLES = 6
+# Fresh interpreters timed per run, one after a job at each tenth of the run,
+# so that the median spans the run; a warm-up import before the worker starts
+# is dropped, and the worker's own import is kept.
+SETUP_SAMPLES = 10
 JOB_TIMEOUT = 60.0
 
-# Spans timed by self_s: each runs on every workload.
-SELF_SPANS = ("expr.eval_jet", "curve.frenet", "frame.theta_at", "frame.frame_at",
+# Spans whose own self_s is reported.  A span that a workload never enters
+# reads 0 s there, next to its 0 calls.
+SELF_SPANS = ("frame.theta_rmf", "expr.eval_jet", "curve.frenet",
+              "curve.tangent_data", "frame.theta_at", "frame.frame_at",
               "ruled.frame", "ruled.coefficients", "ruled.point", "ruled.normal",
-              "ruled.director_derivative_numeric", "cli.load_config",
+              "ruled.director_derivative_numeric", "ruled.sample", "ruled.classify",
+              "invariants.base_curve_report", "invariants.oracles",
+              "mesh_io.tessellate", "mesh_io.write_obj", "cli.load_config",
               "cli.write_atomic")
-# The routines a single subcommand runs above the per-point layers; their
-# self times are summed into cli.command.self_s and listed apart in the trace file.
-COMMAND_SPANS = ("cli.cmd_surface", "cli.cmd_verify", "mesh_io.tessellate",
-                 "mesh_io.write_obj", "ruled.classify", "ruled.sample",
-                 "invariants.base_curve_report", "invariants.oracles")
+# Layers whose self_s is also reported as the sum over all their spans, so
+# that the self time of every wrapped function falls in one of these metrics.
+LAYERS = ("expr", "curve", "frame", "ruled", "invariants", "mesh_io", "cli")
 CALL_SPANS = ("expr.eval_jet", "curve.frenet", "curve.tangent_data",
               "frame.theta_rmf", "frame.theta_at", "frame.frame_at",
               "frame.double_reflection", "ruled.frame", "ruled.coefficients",
@@ -65,6 +68,7 @@ class Worker:
             [sys.executable, str(HERE / "worker.py"), *args], cwd=ROOT, env=env,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         self._buf = b""
+        self.setup_s = None  # the worker's own import time, its first line
 
     def read(self, timeout: float = JOB_TIMEOUT) -> dict:
         fd = self.proc.stdout.fileno()
@@ -135,16 +139,33 @@ def theta_error(job: jobs.Job, tables) -> float:
     return err
 
 
-def end_to_end(workload: str, seed: int, seconds: float, worker: Worker, run_dir: Path):
-    done = []
-    stop = time.perf_counter() + seconds
+def rounds(seconds: float):
+    """Round indices of a run: whole rounds, the last of them ending within
+    half a round of ``seconds``."""
+    start = time.perf_counter()
     r = 0
-    while not done or time.perf_counter() < stop:
+    while True:
+        t0 = time.perf_counter()
+        yield r
+        r += 1
+        now = time.perf_counter()
+        if now - start + (now - t0) / 2 >= seconds:
+            return
+
+
+def end_to_end(workload: str, seed: int, seconds: float, worker: Worker, run_dir: Path):
+    done, setup = [], [worker.setup_s]
+    start = time.perf_counter()
+    for r in rounds(seconds):
         for k, job in enumerate(jobs.make_round(workload, seed, r)):
             done.append((job, run_job(worker, job, run_dir / f"r{r}j{k}", False)))
-        r += 1
+            if (len(setup) <= SETUP_SAMPLES and time.perf_counter() - start
+                    >= seconds * len(setup) / SETUP_SAMPLES):
+                setup += measure_setup(1)
+    setup += measure_setup(max(0, 1 + SETUP_SAMPLES - len(setup)))
     secs = [rep["seconds"] for _, rep in done]
     metrics = {
+        "setup_s": (statistics.median(setup), "s"),
         "job_s_p50": (statistics.median(secs), "s"),
         "points_per_s": (sum(j.points for j, _ in done) / sum(secs), "points/s"),
     }
@@ -153,13 +174,11 @@ def end_to_end(workload: str, seed: int, seconds: float, worker: Worker, run_dir
 
 def traced(workload: str, seed: int, seconds: float, worker: Worker, run_dir: Path):
     """Rounds run twice, untraced then traced; per-layer figures are per round."""
-    done, rounds = [], []
+    done, per_round = [], []
     plain = spanned = 0.0
     hits = lookups = 0
     out_bytes = theta_err = 0.0
-    stop = time.perf_counter() + seconds
-    r = 0
-    while not rounds or time.perf_counter() < stop:
+    for r in rounds(seconds):
         spans = {}
         for k, job in enumerate(jobs.make_round(workload, seed, r)):
             base = run_dir / f"r{r}j{k}"
@@ -177,27 +196,29 @@ def traced(workload: str, seed: int, seconds: float, worker: Worker, run_dir: Pa
             lookups += tr["cache_hits"] + tr["cache_misses"]
             out_bytes += tr["out_bytes"]
             theta_err = max(theta_err, theta_error(job, tr["theta_tables"]))
-        rounds.append(spans)
-        r += 1
-    n = len(rounds)
+        per_round.append(spans)
+    n = len(per_round)
     metrics = {}
     for name in CALL_SPANS:
-        counts = [rd.get(name, [0])[0] for rd in rounds]
+        counts = [rd.get(name, [0])[0] for rd in per_round]
         # equal in every round by construction; a mean that is not a whole
         # number shows that the rounds did not repeat
         metrics[f"{name}.calls"] = (counts[0] if len(set(counts)) == 1
                                     else sum(counts) / n, "count")
     for name in SELF_SPANS:
-        metrics[f"{name}.self_s"] = (sum(rd[name][1] for rd in rounds) / n, "s")
-    metrics["cli.command.self_s"] = (sum(rd.get(name, [0, 0.0])[1] for rd in rounds
-                                         for name in COMMAND_SPANS) / n, "s")
+        metrics[f"{name}.self_s"] = (sum(rd.get(name, [0, 0.0])[1]
+                                         for rd in per_round) / n, "s")
+    for layer in LAYERS:
+        metrics[f"{layer}.self_s"] = (sum(v[1] for rd in per_round
+                                          for name, v in rd.items()
+                                          if name.startswith(layer + ".")) / n, "s")
     metrics["ruled.frame_cache.hit_ratio"] = (hits / lookups, "ratio")
     metrics["cli.write_atomic.bytes"] = (out_bytes / n, "bytes")
     metrics["frame.theta_max_abs_err"] = (theta_err, "rad")
     metrics["trace.overhead"] = (spanned / plain, "ratio")
     trace_file = WORK / f"trace-{workload}-{seed}.json"
     trace_file.write_text(json.dumps({"workload": workload, "seed": seed,
-                                      "rounds": rounds}, indent=1, sort_keys=True))
+                                      "rounds": per_round}, indent=1, sort_keys=True))
     return done, metrics
 
 
@@ -214,10 +235,10 @@ def main(argv=None) -> int:
 
     run_dir = WORK / f"run-{os.getpid()}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    setup = [] if args.trace else measure_setup(1 + SETUP_SAMPLES // 2)[1:]
+    measure_setup(1)  # warm-up: compiles and caches what the import reads
     worker = Worker()
     try:
-        setup.append(worker.read()["setup_s"])
+        worker.setup_s = worker.read()["setup_s"]
         measure = traced if args.trace else end_to_end
         done, metrics = measure(args.workload, args.seed, args.seconds, worker, run_dir)
         peak_mb = worker.close()["peak_rss_mb"]
@@ -225,8 +246,6 @@ def main(argv=None) -> int:
         worker.kill()
         shutil.rmtree(run_dir, ignore_errors=True)
     if not args.trace:
-        setup += measure_setup(SETUP_SAMPLES // 2)
-        metrics["setup_s"] = (statistics.median(setup), "s")
         metrics["peak_rss_mb"] = (peak_mb, "MB")
 
     failed = [(job, rep) for job, rep in done if rep["errors"]]
