@@ -40,6 +40,9 @@ class ConfigError(Exception):
     pass
 
 
+MAX_GRID_POINTS = 10 ** 6  # n_s * n_v; minutes of per-point work already
+
+
 @dataclass
 class JobConfig:
     surface: RuledSurfaceDef
@@ -55,6 +58,8 @@ class JobConfig:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     if key not in doc:
         raise ConfigError(f"missing '{key}' in {where}")
     return doc[key]
@@ -69,6 +74,33 @@ def _parse_dsl(text, where: str) -> ex.Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _finite(value, where: str) -> float:
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where} must be a finite number")
+    return float(value)
+
+
+def _range(doc: dict, key: str, where: str):
+    value = _require(doc, key, where)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where}.{key} must be [min, max] with min < max")
+    lo, hi = (_finite(x, f"{where}.{key}") for x in value)
+    if not lo < hi:
+        raise ConfigError(f"{where}.{key} must be [min, max] with min < max")
+    return lo, hi
+
+
+def _grid_size(doc: dict, key: str) -> int:
+    value = _require(doc, key, "grid")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+        raise ConfigError(f"grid.{key} must be an integer >= 2")
+    return value
+
+
 def load_config(path: str) -> JobConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -79,23 +111,18 @@ def load_config(path: str) -> JobConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
 
     cdoc = _require(doc, "curve", "config")
-    s_range = _require(cdoc, "s_range", "curve")
-    if (not isinstance(s_range, list) or len(s_range) != 2
-            or not all(isinstance(x, (int, float)) for x in s_range)
-            or not s_range[0] < s_range[1]):
-        raise ConfigError("curve.s_range must be [min, max] with min < max")
     curve = CurveDef(
         _parse_dsl(_require(cdoc, "x", "curve"), "curve.x"),
         _parse_dsl(_require(cdoc, "y", "curve"), "curve.y"),
         _parse_dsl(_require(cdoc, "z", "curve"), "curve.z"),
-        float(s_range[0]), float(s_range[1]))
+        *_range(cdoc, "s_range", "curve"))
 
     tdoc = _require(doc, "theta", "config")
     mode = _require(tdoc, "mode", "theta")
     if mode == "rmf":
         if "theta0" not in tdoc or "expr" in tdoc:
             raise ConfigError("theta mode 'rmf' takes exactly 'theta0'")
-        policy = RotationMinimizing(float(tdoc["theta0"]))
+        policy = RotationMinimizing(_finite(tdoc["theta0"], "theta.theta0"))
     elif mode == "explicit":
         if "expr" not in tdoc or "theta0" in tdoc:
             raise ConfigError("theta mode 'explicit' takes exactly 'expr'")
@@ -110,14 +137,8 @@ def load_config(path: str) -> JobConfig:
         _parse_dsl(_require(ddoc, "x3", "director"), "director.x3"))
 
     gdoc = _require(doc, "grid", "config")
-    v_range = _require(gdoc, "v_range", "grid")
-    if (not isinstance(v_range, list) or len(v_range) != 2
-            or not v_range[0] < v_range[1]):
-        raise ConfigError("grid.v_range must be [min, max] with min < max")
-    n_s = int(_require(gdoc, "n_s", "grid"))
-    n_v = int(_require(gdoc, "n_v", "grid"))
-    if n_s < 2 or n_v < 2:
-        raise ConfigError("grid.n_s and grid.n_v must be >= 2")
+    v_range = _range(gdoc, "v_range", "grid")
+    n_s, n_v = _grid_size(gdoc, "n_s"), _grid_size(gdoc, "n_v")
 
     tol = doc.get("tolerances", {})
     odoc = doc.get("outputs", {})
@@ -125,15 +146,15 @@ def load_config(path: str) -> JobConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError("outputs.format must be 'csv' or 'json'")
 
-    sdef = RuledSurfaceDef(curve, policy, director,
-                           float(v_range[0]), float(v_range[1]))
+    sdef = RuledSurfaceDef(curve, policy, director, *v_range)
     return JobConfig(
         surface=sdef,
         n_s=n_s,
         n_v=n_v,
-        tol_dev=float(tol.get("tol_dev", ruled.TOL_DEV)),
-        tol_inv=float(tol.get("tol_inv", invariants.TOL_CLOSED)),
-        tol_K=float(tol.get("tol_K", ruled.TOL_K)),
+        tol_dev=_finite(tol.get("tol_dev", ruled.TOL_DEV), "tolerances.tol_dev"),
+        tol_inv=_finite(tol.get("tol_inv", invariants.TOL_CLOSED),
+                        "tolerances.tol_inv"),
+        tol_K=_finite(tol.get("tol_K", ruled.TOL_K), "tolerances.tol_K"),
         mesh_path=odoc.get("mesh"),
         report_path=odoc.get("report"),
         fmt=fmt,
@@ -222,17 +243,14 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
                    for r in usable), invariants.TOL_FD)
         _check(checks, "tau_g = -k_g*k_n identity",
                max(abs(r.tau_g + r.k_g * r.k_n) for r in usable), 1e-10)
-    if surface.is_rmf:
-        err = 0.0
-        for r in bc.samples:
-            _, world = surface.director_derivative_closed(r.s)
-            err = max(err, float(np.max(np.abs(
-                world - surface.director_derivative_numeric(r.s)))))
+    framed = [r.s for r in bc.samples if not math.isnan(r.kappa)]
+    if surface.is_rmf and framed:
+        err = max(float(np.max(np.abs(surface.director_derivative_closed(s)[1]
+                                      - surface.director_derivative_numeric(s))))
+                  for s in framed)
         _check(checks, "closed vs numeric director derivative", err, 1e-8)
-        det_err = max(
-            abs(surface.ruling_det(r.s)
-                - _closed_det_numerator(surface, r.s))
-            for r in bc.samples)
+        det_err = max(abs(surface.ruling_det(s) - surface.det_numerator_closed(s))
+                      for s in framed)
         _check(checks, "det(T,X,X') vs closed numerator", det_err, 1e-8)
 
     expect_results = []
@@ -268,15 +286,6 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
     write_atomic(out_path, json.dumps(mesh_io._jsonable(doc), indent=2,
                                       sort_keys=True) + "\n")
     return 0 if ok else 1
-
-
-def _closed_det_numerator(surface: RuledSurface, s: float) -> float:
-    fd, af = surface.frame(s)
-    j1, j2, j3 = surface.coefficients(s)
-    p2, p3 = j2.d1 / fd.speed, j3.d1 / fd.speed
-    return ((j2.value * p3 - j3.value * p2)
-            - fd.kappa * j1.value * (j2.value * math.sin(af.theta)
-                                     + j3.value * math.cos(af.theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +330,22 @@ def main(argv=None) -> int:
             if args.samples < 2:
                 raise ConfigError("--samples must be >= 2")
             job.n_s = args.samples
+        if job.n_s * job.n_v > MAX_GRID_POINTS:
+            raise ConfigError(f"n_s * n_v must be at most {MAX_GRID_POINTS}")
         if args.format:
             job.fmt = args.format
         if getattr(args, "tol_dev", None) is not None:
-            job.tol_dev = args.tol_dev
+            job.tol_dev = _finite(args.tol_dev, "--tol-dev")
         out = _resolve_out(args, job)
         handler = {"frames": cmd_frames, "surface": cmd_surface,
                    "classify": cmd_classify, "verify": cmd_verify}[args.command]
-        return handler(job, out)
+        # Overflow or NaN in vector arithmetic is a geometry error, not a warning.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(job, out)
     except ConfigError as err:
         print(f"E_CONFIG: {err}", file=sys.stderr)
         return 2
-    except (GeometryError, ex.ExprDomainError) as err:
+    except (GeometryError, ex.ExprDomainError, FloatingPointError) as err:
         print(f"E_GEOMETRY: {err}", file=sys.stderr)
         return 3
 

@@ -100,19 +100,20 @@ def tangent_data(c: CurveDef, t: float):
     Defined wherever |r'| > EPS_REG, including curvature-free points.
     """
     pos, d1, _, _ = eval_curve(c, t)
+    return (pos, *_unit_tangent(d1, t))
+
+
+def _unit_tangent(d1: np.ndarray, t: float):
     speed = float(np.linalg.norm(d1))
     if speed <= EPS_REG:
         raise DegenerateTangent(f"|r'|={speed:.3e} at t={t}")
-    return pos, d1 / speed, speed
+    return d1 / speed, speed
 
 
 def frenet(c: CurveDef, t: float) -> FrenetData:
     """Full Frenet apparatus; raises where the frame is undefined."""
     pos, d1, d2, d3 = eval_curve(c, t)
-    speed = float(np.linalg.norm(d1))
-    if speed <= EPS_REG:
-        raise DegenerateTangent(f"|r'|={speed:.3e} at t={t}")
-    T = d1 / speed
+    T, speed = _unit_tangent(d1, t)
     cr = np.cross(d1, d2)
     ncr = float(np.linalg.norm(cr))
     kappa = ncr / speed ** 3
@@ -128,16 +129,12 @@ def validate_regular(c: CurveDef, n_samples: int) -> RegularityReport:
     """Sample the range and report where the tangent or Frenet frame degenerates."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    ts = np.linspace(c.t_min, c.t_max, n_samples)
     speed_bad, kappa_bad = [], []
-    for t in ts:
-        t = float(t)
-        _, d1, d2, _ = eval_curve(c, t)
-        speed = float(np.linalg.norm(d1))
-        if speed <= EPS_REG:
+    for t in np.linspace(c.t_min, c.t_max, n_samples).tolist():
+        try:
+            frenet(c, t)
+        except DegenerateTangent:
             speed_bad.append(t)
-            continue
-        kappa = float(np.linalg.norm(np.cross(d1, d2))) / speed ** 3
-        if kappa <= EPS_REG:
+        except VanishingCurvature:
             kappa_bad.append(t)
     return RegularityReport(n_samples, speed_bad, kappa_bad)

@@ -90,9 +90,6 @@ class Jet3:
     def __sub__(self, other):
         return self + (-_as_jet(other))
 
-    def __rsub__(self, other):
-        return _as_jet(other) + (-self)
-
     def __mul__(self, other):
         o = _as_jet(other)
         a, b = self, o
@@ -104,17 +101,6 @@ class Jet3:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_jet(other)
-        if o.value == 0.0:
-            raise ExprDomainError("division by zero")
-        return self * _reciprocal(o)
-
-    def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise ExprDomainError("division by zero")
-        return _as_jet(other) * _reciprocal(self)
 
 
 def _as_jet(x) -> Jet3:
@@ -442,7 +428,10 @@ def eval_jet(e: "Expr | str", s: float) -> Jet3:
     """Evaluate an expression (tree or source text) at ``s`` with derivatives."""
     if isinstance(e, str):
         e = parse(e)
-    return _eval(e, Jet3.variable(s))
+    try:
+        return _eval(e, Jet3.variable(s))
+    except (OverflowError, ValueError) as err:  # math range and domain errors
+        raise ExprDomainError(f"{err} at s={s}") from err
 
 
 def _eval(e: Expr, sj: Jet3) -> Jet3:

@@ -65,14 +65,19 @@ def adapted_frame(fd: FrenetData, theta: float, theta_prime: float) -> AdaptedFr
     return AdaptedFrame(fd.T, U, V, theta, theta_prime)
 
 
+def frame_angular_velocity(fd: FrenetData, af: AdaptedFrame) -> float:
+    """Normal-plane rotation rate phi = theta'/|r'| + tau (zero for the RMF)."""
+    return af.theta_prime / fd.speed + fd.tau
+
+
 def frame_derivatives(fd: FrenetData, af: AdaptedFrame):
     """Arc-length derivatives (T', U', V') of a general adapted frame.
 
-    With phi = theta'/|r'| + tau:  U' = -kappa cos(theta) T + phi V and
-    V' = kappa sin(theta) T - phi U.  phi = 0 recovers the RMF rules, where
-    U' and V' are parallel to the tangent.
+    With phi the normal-plane rotation rate:  U' = -kappa cos(theta) T + phi V
+    and V' = kappa sin(theta) T - phi U.  phi = 0 recovers the RMF rules,
+    where U' and V' are parallel to the tangent.
     """
-    phi = af.theta_prime / fd.speed + fd.tau
+    phi = frame_angular_velocity(fd, af)
     c, s = math.cos(af.theta), math.sin(af.theta)
     dT = fd.kappa * fd.N
     dU = -fd.kappa * c * fd.T + phi * af.V
@@ -80,31 +85,25 @@ def frame_derivatives(fd: FrenetData, af: AdaptedFrame):
     return dT, dU, dV
 
 
-def frame_angular_velocity(fd: FrenetData, af: AdaptedFrame) -> float:
-    """Normal-plane rotation rate phi = theta'/|r'| + tau (zero for the RMF)."""
-    return af.theta_prime / fd.speed + fd.tau
-
-
 # ---------------------------------------------------------------------------
 # theta integration
 
 
-def _theta_rate(c: CurveDef, t: float) -> float:
-    fd = frenet(c, t)
+def _theta_rate(fd: FrenetData) -> float:
     return -fd.speed * fd.tau
 
 
-def _rk4_segment(c: CurveDef, t0: float, t1: float, theta: float,
-                 substeps: int) -> float:
-    h = (t1 - t0) / substeps
-    for i in range(substeps):
-        a = t0 + i * h
-        k1 = _theta_rate(c, a)
-        k2 = _theta_rate(c, a + 0.5 * h)
-        k3 = k2  # rate is independent of theta
-        k4 = _theta_rate(c, a + h)
-        theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return theta
+def _theta_rates(c: CurveDef, ts, flat_fallback: bool) -> np.ndarray:
+    """d(theta)/dt at each parameter; NaN where the curvature vanishes."""
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        try:
+            out[i] = _theta_rate(frenet(c, float(t)))
+        except VanishingCurvature:
+            if not flat_fallback:
+                raise
+            out[i] = math.nan
+    return out
 
 
 def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
@@ -131,48 +130,49 @@ def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
     return theta1
 
 
-def theta_rmf(c: CurveDef, theta0: float, grid, substeps: int = 4,
-              flat_fallback: bool = True) -> np.ndarray:
+def theta_rmf(c: CurveDef, theta0: float, grid, flat_fallback: bool = True,
+              *, node_rates: np.ndarray | None = None) -> np.ndarray:
     """Integrate d(theta)/dt = -|r'| tau over an increasing parameter grid.
 
-    Classical 4th-order one-step method with ``substeps`` substeps per grid
-    interval.  Intervals where the curvature vanishes are bridged by double
-    reflection when ``flat_fallback`` is set, and raise otherwise.
+    The rate does not depend on theta, so each grid interval is one Simpson
+    panel (rates at its two nodes and its midpoint) and the angle is their
+    cumulative sum.  Intervals where the curvature vanishes are bridged by
+    double reflection when ``flat_fallback`` is set, and raise otherwise.
     Returns theta values aligned with the grid; theta is kept unwrapped.
+    ``node_rates``, if given, receives the rates at the nodes (NaN if flat).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two parameter values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    thetas = np.empty(len(grid))
-    thetas[0] = theta0
+    rates = _theta_rates(c, grid, flat_fallback)
+    mids = _theta_rates(c, 0.5 * (grid[:-1] + grid[1:]), flat_fallback)
+    steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
+    if node_rates is not None:
+        node_rates[:] = rates
+    thetas = np.full(len(grid), float(theta0))
+    flat = np.append(np.isnan(steps), True)  # sentinel past the last interval
     k = 0
     while k < len(grid) - 1:
-        try:
-            thetas[k + 1] = _rk4_segment(c, float(grid[k]), float(grid[k + 1]),
-                                         float(thetas[k]), substeps)
-            k += 1
-            continue
-        except VanishingCurvature:
-            if not flat_fallback:
-                raise
+        # Sum panels up to the next interval without a Frenet frame.
+        j = k + int(np.argmax(flat[k:]))
+        thetas[k:j + 1] = np.cumsum(np.concatenate(([thetas[k]], steps[k:j])))
+        if j == len(steps):
+            break
         # Bridge to the next node where the Frenet frame exists again; the
         # gap nodes themselves have no defined angle and get interpolated
         # placeholders (no adapted frame exists there anyway).
-        j = k + 1
-        while True:
+        k = j
+        for j in range(k + 1, len(grid)):
             try:
                 thetas[j] = _theta_across_flat(c, float(grid[k]), float(grid[j]),
                                                float(thetas[k]))
                 break
             except VanishingCurvature:
-                j += 1
-                if j >= len(grid):
+                if j == len(grid) - 1:
                     raise
-        for m in range(k + 1, j):
-            frac = (grid[m] - grid[k]) / (grid[j] - grid[k])
-            thetas[m] = thetas[k] + frac * (thetas[j] - thetas[k])
+        thetas[k + 1:j] = np.interp(grid[k + 1:j], grid[[k, j]], thetas[[k, j]])
         k = j
     return thetas
 
@@ -227,41 +227,41 @@ def double_reflection(points, tangents, u0):
 class FrameField:
     """Adapted frame evaluable at arbitrary parameters.
 
-    For the RMF policy, theta is tabulated on a uniform node grid once and
-    queried by re-integrating from the nearest node below, which keeps
-    theta(t) smooth within machine accuracy (the starting node value is
-    shared by both sides of every node).
+    For the RMF policy, theta is tabulated on a uniform node grid once, one
+    Simpson panel per cell, and queried by one more panel from the nearest
+    node below, which keeps theta(t) smooth within machine accuracy (the
+    starting node value is shared by both sides of every node).
     """
 
-    def __init__(self, c: CurveDef, policy: ThetaPolicy, n_cells: int = 512,
-                 substeps: int = 4):
+    def __init__(self, c: CurveDef, policy: ThetaPolicy, n_cells: int = 2048):
         self.curve = c
         self.policy = policy
-        self.substeps = substeps
         if isinstance(policy, RotationMinimizing):
             self._nodes = np.linspace(c.t_min, c.t_max, n_cells + 1)
-            self._thetas = theta_rmf(c, policy.theta0, self._nodes, substeps)
+            self._rates = np.empty(n_cells + 1)
+            self._thetas = theta_rmf(c, policy.theta0, self._nodes,
+                                     node_rates=self._rates)
             self._h = (c.t_max - c.t_min) / n_cells
 
     @property
     def is_rmf(self) -> bool:
         return isinstance(self.policy, RotationMinimizing)
 
-    def theta_at(self, t: float):
-        """(theta, d(theta)/dt) at parameter t."""
+    def theta_at(self, t: float, fd: FrenetData):
+        """(theta, d(theta)/dt) at parameter t, whose Frenet data is ``fd``."""
         if isinstance(self.policy, ExplicitTheta):
             j = ex.eval_jet(self.policy.theta, t)
             return j.value, j.d1
+        rate = _theta_rate(fd)
         k = int(np.clip((t - self.curve.t_min) // self._h, 0, len(self._nodes) - 2))
         t0, th0 = float(self._nodes[k]), float(self._thetas[k])
         if t == t0:
-            theta = th0
-        else:
-            try:
-                theta = _rk4_segment(self.curve, t0, t, th0, self.substeps)
-            except VanishingCurvature:
-                theta = _theta_across_flat(self.curve, t0, t, th0)
-        return theta, _theta_rate(self.curve, t)
+            return th0, rate
+        mid = float(_theta_rates(self.curve, [0.5 * (t0 + t)], True)[0])
+        step = (t - t0) * (float(self._rates[k]) + 4.0 * mid + rate) / 6.0
+        if math.isnan(step):
+            return _theta_across_flat(self.curve, t0, t, th0), rate
+        return th0 + step, rate
 
     def frenet_at(self, t: float) -> FrenetData:
         return frenet(self.curve, t)
@@ -269,5 +269,5 @@ class FrameField:
     def frame_at(self, t: float):
         """(FrenetData, AdaptedFrame) at parameter t."""
         fd = self.frenet_at(t)
-        theta, theta_prime = self.theta_at(t)
+        theta, theta_prime = self.theta_at(t, fd)
         return fd, adapted_frame(fd, theta, theta_prime)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import EPS_REG, tangent_data
-from .errors import CylindricalPoint, GeometryError, TangentRuling
+from .errors import GeometryError, TangentRuling
 from .frame import frame_angular_velocity
 from .ruled import RuledSurface
 
@@ -31,23 +31,33 @@ TOL_CLOSED = 1e-9
 TOL_FD = 1e-5
 
 
-def _ruling_normal_weight(x2: float, x3: float) -> float:
+def _ruling_weight2(x2: float, x3: float) -> float:
+    """x2^2 + x3^2; raises where the ruling is tangent to the base curve."""
     w2 = x2 * x2 + x3 * x3
     if w2 <= EPS_REG ** 2:
         raise TangentRuling("x2 = x3 = 0: ruling is tangent to the base curve")
-    return math.sqrt(w2)
+    return w2
+
+
+def condition_residuals(x2: float, x3: float, theta: float):
+    """Geodesic, asymptotic and tan(2 theta) residuals, as in BaseCurveSample."""
+    c, sn = math.cos(theta), math.sin(theta)
+    return (x2 * c - x3 * sn,
+            x3 * c + x2 * sn,
+            0.5 * math.sin(2 * theta) * (x3 * x3 - x2 * x2)
+            - math.cos(2 * theta) * x2 * x3)
 
 
 def geodesic_curvature(x2: float, x3: float, theta: float, kappa: float) -> float:
     """kappa (x2 cos - x3 sin) / sqrt(x2^2 + x3^2); pointwise in the frame."""
-    w = _ruling_normal_weight(x2, x3)
-    return kappa * (x2 * math.cos(theta) - x3 * math.sin(theta)) / w
+    w = math.sqrt(_ruling_weight2(x2, x3))
+    return kappa * condition_residuals(x2, x3, theta)[0] / w
 
 
 def normal_curvature(x2: float, x3: float, theta: float, kappa: float) -> float:
     """-kappa (x3 cos + x2 sin) / sqrt(x2^2 + x3^2)."""
-    w = _ruling_normal_weight(x2, x3)
-    return -kappa * (x3 * math.cos(theta) + x2 * math.sin(theta)) / w
+    w = math.sqrt(_ruling_weight2(x2, x3))
+    return -kappa * condition_residuals(x2, x3, theta)[1] / w
 
 
 def geodesic_torsion(x2: float, x3: float, theta: float, kappa: float) -> float:
@@ -55,10 +65,8 @@ def geodesic_torsion(x2: float, x3: float, theta: float, kappa: float) -> float:
 
     Algebraically identical to -k_g * k_n.
     """
-    w = _ruling_normal_weight(x2, x3)
-    w2 = w * w
-    return -kappa ** 2 / w2 * (0.5 * math.sin(2 * theta) * (x3 * x3 - x2 * x2)
-                               - math.cos(2 * theta) * x2 * x3)
+    w2 = _ruling_weight2(x2, x3)
+    return -kappa ** 2 / w2 * condition_residuals(x2, x3, theta)[2]
 
 
 def curvature_line_residual_closed(surface: RuledSurface, s: float) -> float:
@@ -70,9 +78,7 @@ def curvature_line_residual_closed(surface: RuledSurface, s: float) -> float:
     fd, af = surface.frame(s)
     _, j2, j3 = surface.coefficients(s)
     x2, x3 = j2.value, j3.value
-    w2 = x2 * x2 + x3 * x3
-    if w2 <= EPS_REG ** 2:
-        raise TangentRuling("x2 = x3 = 0 at this sample")
+    w2 = _ruling_weight2(x2, x3)
     p2, p3 = j2.d1 / fd.speed, j3.d1 / fd.speed
     phi = frame_angular_velocity(fd, af)
     return (p2 * x3 - x2 * p3) / w2 - phi
@@ -162,64 +168,59 @@ class BaseCurveReport:
     is_curvature_line_rodrigues: bool
     director_parallel_tangent: bool  # x2 = x3 = 0 identically
     tol: float
-    excluded: list = field(default_factory=list)  # s where x2=x3~0 pointwise
+    excluded: list = field(default_factory=list)  # s with no frame or x2=x3~0
 
 
 def base_curve_report(surface: RuledSurface, s_values,
                       tol: float = TOL_CLOSED) -> BaseCurveReport:
     """Evaluate all closed-form invariants and condition residuals on a grid.
 
-    Samples where the ruling is momentarily tangent (x2 = x3 = 0) carry NaN
-    invariants and are excluded from the maxima; if that happens at every
-    sample the director is parallel to the tangent and no condition applies.
+    Samples without a Frenet frame (vanishing curvature) or where the ruling
+    is momentarily tangent (x2 = x3 = 0) carry NaN invariants and are left
+    out of the conditions; if the ruling is tangent at every sample the
+    director is parallel to the tangent and no condition applies.
     """
     samples = []
     excluded = []
     max_w = 0.0
     for s in s_values:
         s = float(s)
-        fd, af = surface.frame(s)
         j1, j2, j3 = surface.coefficients(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
-        th = af.theta
         w2 = x2 * x2 + x3 * x3
         max_w = max(max_w, w2)
         try:
+            fd, af = surface.frame(s)
+        except GeometryError:
+            excluded.append(s)
+            samples.append(BaseCurveSample(s, *[math.nan] * 3, x1, x2, x3,
+                                           *[math.nan] * 8))
+            continue
+        th = af.theta
+        try:
             P = surface.distribution_parameter(s)
-        except (CylindricalPoint, GeometryError):
+        except GeometryError:
             P = math.nan
         if w2 <= EPS_REG ** 2:
             excluded.append(s)
-            samples.append(BaseCurveSample(
-                s, fd.kappa, fd.tau, th, x1, x2, x3, P,
-                math.nan, math.nan, math.nan, math.nan,
-                math.nan, math.nan, math.nan))
+            samples.append(BaseCurveSample(s, fd.kappa, fd.tau, th, x1, x2, x3,
+                                           P, *[math.nan] * 7))
             continue
-        k_g = geodesic_curvature(x2, x3, th, fd.kappa)
-        k_n = normal_curvature(x2, x3, th, fd.kappa)
-        t_g = geodesic_torsion(x2, x3, th, fd.kappa)
-        rho = curvature_line_residual_closed(surface, s)
-        c, sn = math.cos(th), math.sin(th)
         samples.append(BaseCurveSample(
-            s, fd.kappa, fd.tau, th, x1, x2, x3, P, k_g, k_n, t_g, rho,
-            x2 * c - x3 * sn,
-            x3 * c + x2 * sn,
-            0.5 * math.sin(2 * th) * (x3 * x3 - x2 * x2)
-            - math.cos(2 * th) * x2 * x3))
-
-    def finite_max(getter):
-        vals = [abs(getter(r)) for r in samples if not math.isnan(getter(r))]
-        return max(vals) if vals else math.nan
+            s, fd.kappa, fd.tau, th, x1, x2, x3, P,
+            geodesic_curvature(x2, x3, th, fd.kappa),
+            normal_curvature(x2, x3, th, fd.kappa),
+            geodesic_torsion(x2, x3, th, fd.kappa),
+            curvature_line_residual_closed(surface, s),
+            *condition_residuals(x2, x3, th)))
 
     parallel_tangent = max_w <= EPS_REG ** 2
-    if parallel_tangent:
-        flags = (False, False, False, False)
-    else:
-        flags = (
-            finite_max(lambda r: r.res_geodesic) < tol,
-            finite_max(lambda r: r.res_asymptotic) < tol,
-            finite_max(lambda r: r.res_curvature_line) < tol,
-            finite_max(lambda r: r.rho) < tol,
-        )
-    return BaseCurveReport(samples, flags[0], flags[1], flags[2], flags[3],
+    skip = set(excluded)
+
+    def holds(name):  # a NaN residual at a used sample fails the condition
+        vals = [abs(getattr(r, name)) for r in samples if r.s not in skip]
+        return not parallel_tangent and bool(vals) and all(v < tol for v in vals)
+
+    return BaseCurveReport(samples, *map(holds, ("res_geodesic", "res_asymptotic",
+                                                 "res_curvature_line", "rho")),
                            parallel_tangent, tol, excluded)

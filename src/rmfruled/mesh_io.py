@@ -170,14 +170,10 @@ def report_to_json(report: ClassificationReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(report: ClassificationReport | None, samples, fmt: str) -> str:
+def write_report(report: ClassificationReport, samples, fmt: str) -> str:
     """Serialize either the sample table (csv) or the full report (json)."""
     if fmt == "csv":
         return samples_to_csv(samples)
     if fmt == "json":
-        if report is None:
-            doc = {"schema_version": SCHEMA_VERSION,
-                   "samples": [_jsonable(r) for r in samples]}
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
         return report_to_json(report)
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")

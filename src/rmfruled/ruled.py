@@ -75,7 +75,6 @@ class SurfaceSample:
     g: float
     K: float
     H: float
-    P: float  # distribution parameter at this s (nan at cylindrical points)
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,9 @@ class ClassificationReport:
 class RuledSurface:
     """Runtime binding of a surface definition to a dense frame field."""
 
-    def __init__(self, sdef: RuledSurfaceDef, n_cells: int = 512):
+    def __init__(self, sdef: RuledSurfaceDef):
         self.sdef = sdef
-        self.field = FrameField(sdef.curve, sdef.theta, n_cells)
+        self.field = FrameField(sdef.curve, sdef.theta)
         self._frame_at = functools.lru_cache(maxsize=8192)(self.field.frame_at)
 
     @property
@@ -160,31 +159,34 @@ class RuledSurface:
             out += (j.d1 / fd.speed) * e_vec + j.value * de
         return out
 
+    def _det_and_xp2(self, s: float):
+        """(det(T, X, X'), |X'|^2) from one evaluation of X'."""
+        fd, _ = self.frame(s)
+        Xp = self.director_derivative_numeric(s)
+        det = float(np.linalg.det(np.column_stack([fd.T, self._director_raw(s), Xp])))
+        return det, float(np.dot(Xp, Xp))
+
     def ruling_det(self, s: float) -> float:
         """det(T, X, X') -- the developability indicator at s."""
-        fd, _ = self.frame(s)
-        X = self._director_raw(s)
-        Xp = self.director_derivative_numeric(s)
-        return float(np.linalg.det(np.column_stack([fd.T, X, Xp])))
+        return self._det_and_xp2(s)[0]
 
     def distribution_parameter(self, s: float) -> float:
         """det(T, X, X') / |X'|^2; raises at cylindrical points (|X'| ~ 0)."""
-        fd, _ = self.frame(s)
-        X = self._director_raw(s)
-        Xp = self.director_derivative_numeric(s)
-        n2 = float(np.dot(Xp, Xp))
+        det, n2 = self._det_and_xp2(s)
         if n2 <= EPS_REG ** 2:
             raise CylindricalPoint(f"|X'|~0 at s={s}")
-        return float(np.linalg.det(np.column_stack([fd.T, X, Xp]))) / n2
+        return det / n2
+
+    def det_numerator_closed(self, s: float) -> float:
+        """Closed RMF form of det(T, X, X') = x2 X'_V - x3 X'_U, that is
+        (x2 x3' - x3 x2') - kappa x1 (x2 sin(theta) + x3 cos(theta))."""
+        comps, _ = self.director_derivative_closed(s)
+        _, j2, j3 = self.coefficients(s)
+        return j2.value * comps[2] - j3.value * comps[1]
 
     def distribution_parameter_closed(self, s: float) -> float:
-        """Closed RMF form: ((x2 x3' - x3 x2') - kappa x1 (x2 sin + x3 cos)) / |X'|^2."""
-        fd, af = self.frame(s)
-        j1, j2, j3 = self.coefficients(s)
-        x1, x2, x3 = j1.value, j2.value, j3.value
-        p2, p3 = j2.d1 / fd.speed, j3.d1 / fd.speed
-        c, sn = math.cos(af.theta), math.sin(af.theta)
-        num = (x2 * p3 - x3 * p2) - fd.kappa * x1 * (x2 * sn + x3 * c)
+        """Closed RMF form: det_numerator_closed / |X'|^2."""
+        num = self.det_numerator_closed(s)
         comps, _ = self.director_derivative_closed(s)
         den = float(np.dot(comps, comps))
         if den <= EPS_REG ** 2:
@@ -241,11 +243,7 @@ class RuledSurface:
         W = E * G - F * F
         K = (e * g - f * f) / W
         H = (e * G - 2 * f * F + g * E) / (2 * W)
-        try:
-            P = self.distribution_parameter(s)
-        except CylindricalPoint:
-            P = math.nan
-        return SurfaceSample(s, v, p, d_s, d_v, n, E, F, G, e, f, g, K, H, P)
+        return SurfaceSample(s, v, p, d_s, d_v, n, E, F, G, e, f, g, K, H)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,10 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
                 smp = surface.sample(float(s), v)
             except GeometryError:
                 continue
-            max_K = max(max_K, abs(smp.K))
+            if math.isfinite(smp.K):
+                max_K = max(max_K, abs(smp.K))
+            else:
+                skipped.append((float(s), "NonFiniteK"))
 
     return ClassificationReport(
         verdict=verdict,

@@ -29,10 +29,10 @@ def line():
     return CurveDef.from_strings("s", "0", "0", -2.0, 8.0)
 
 
-def make_surface(curve, policy, x1, x2, x3, v_min=-1.0, v_max=1.0, n_cells=512):
+def make_surface(curve, policy, x1, x2, x3, v_min=-1.0, v_max=1.0):
     sdef = RuledSurfaceDef(curve, policy,
                            DirectorField.from_strings(x1, x2, x3), v_min, v_max)
-    return RuledSurface(sdef, n_cells)
+    return RuledSurface(sdef)
 
 
 @pytest.fixture(scope="session")

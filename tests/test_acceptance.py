@@ -45,7 +45,7 @@ def test_criterion_02_rmf_angle_exactness(helix_2pi):
     errs = []
     for n in (64, 128):
         g = np.linspace(0, TWO_PI, n + 1)
-        t = theta_rmf(c, 0.0, g, substeps=1)
+        t = theta_rmf(c, 0.0, g)
         errs.append(float(np.max(np.abs(t - (-0.8 * (g + 0.3 * np.sin(g)))))))
     ratio = errs[0] / errs[1]
     _report("2b halving the step shrinks the angle error >= 12x", ratio, 12.0,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -153,3 +154,65 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         assert main(["verify", "--config", str(CONFIGS / "example2.json"),
                      "--out", str(out)]) == 0
     assert va.read_bytes() == vb.read_bytes()
+
+
+def test_curvature_free_grid_node_is_excluded(tmp_path):
+    # kappa vanishes at s = 0, a node of the 101-sample grid
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"] = {"x": "s", "y": "s^3", "z": "s^4", "s_range": [-1, 1]}
+    doc["theta"] = {"mode": "rmf", "theta0": 0}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["classify", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"]) != 3
+    rep = json.loads(out.read_text())
+    assert 0.0 in rep["base_curve"]["excluded"]
+    assert [0.0, "VanishingCurvature"] in rep["skipped_samples"]
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) != 3
+
+
+def _with(section, key, value):
+    def apply(doc):
+        doc[section][key] = value
+    return apply
+
+
+def _rmf_theta0(value):
+    def apply(doc):
+        doc["theta"] = {"mode": "rmf", "theta0": value}
+    return apply
+
+
+def _exp_overflow(doc):
+    doc["curve"] = {"x": "exp(s)", "y": "s", "z": "0", "s_range": [700, 800]}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+@pytest.mark.parametrize("edit,code,prefix", [
+    (_with("grid", "n_s", "abc"), 2, "E_CONFIG:"),
+    (_with("grid", "n_s", True), 2, "E_CONFIG:"),
+    (_with("grid", "n_v", 2.5), 2, "E_CONFIG:"),
+    (_with("grid", "n_s", 10 ** 400), 2, "E_CONFIG:"),
+    (_with("grid", "v_range", ["a", "b"]), 2, "E_CONFIG:"),
+    (_with("grid", "v_range", [-1, math.inf]), 2, "E_CONFIG:"),
+    (_with("curve", "s_range", [0, math.nan]), 2, "E_CONFIG:"),
+    (_rmf_theta0("x"), 2, "E_CONFIG:"),
+    (_with("tolerances", "tol_dev", "x"), 2, "E_CONFIG:"),
+    (_exp_overflow, 3, "E_GEOMETRY:"),
+], ids=["n_s-str", "n_s-bool", "n_v-float", "n_s-huge", "v_range-str",
+        "v_range-inf", "s_range-nan", "theta0-str", "tol_dev-str", "exp-overflow"])
+def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix):
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc.setdefault("tolerances", {})
+    edit(doc)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([command, "--config", str(cfg),
+                 "--out", str(out_dir / "result")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []

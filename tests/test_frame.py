@@ -41,7 +41,7 @@ def test_theta_rmf_fourth_order_convergence():
     errs = []
     for n in (64, 128):
         grid = np.linspace(0, TWO_PI, n + 1)
-        th = theta_rmf(c, 0.0, grid, substeps=1)
+        th = theta_rmf(c, 0.0, grid)
         exact = -0.8 * (grid + 0.3 * np.sin(grid))
         errs.append(np.max(np.abs(th - exact)))
     assert errs[0] / errs[1] > 12.0
@@ -219,3 +219,26 @@ def test_double_reflection_fourth_order(helix_2pi):
         exact = adapted_frame(fd_end, -0.8 * float(ts[-1]), 0.0).U
         errs.append(_angle(U[-1], exact))
     assert errs[0] / errs[1] > 8.0
+
+
+@pytest.mark.parametrize("reparam", [False, True])
+def test_theta_at_off_node_matches_closed_form(helix_2pi, reparam):
+    # helix: theta = -0.8 t; reparametrized helix: theta = -0.8 (t + 0.3 sin t)
+    if reparam:
+        c = CurveDef.from_strings("3/5*cos(s+0.3*sin(s))", "3/5*sin(s+0.3*sin(s))",
+                                  "4/5*(s+0.3*sin(s))", 0, TWO_PI)
+        exact = lambda t: -0.8 * (t + 0.3 * math.sin(t))
+        exact_rate = lambda t: -0.8 * (1.0 + 0.3 * math.cos(t))
+    else:
+        c = helix_2pi
+        exact = lambda t: -0.8 * t
+        exact_rate = lambda t: -0.8
+    field = FrameField(c, RotationMinimizing(0.0))
+    nodes = set(field._nodes.tolist())
+    for t in np.linspace(0.01, TWO_PI - 0.01, 40):
+        t = float(t)
+        assert t not in nodes
+        fd, af = field.frame_at(t)
+        assert abs(af.theta - exact(t)) < 1e-12
+        assert af.theta_prime == -fd.speed * fd.tau
+        assert abs(af.theta_prime - exact_rate(t)) < 1e-12

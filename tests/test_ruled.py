@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -145,11 +146,10 @@ def test_distribution_parameter_general_case(rmf_polynomial):
 
 
 def test_closed_numerator_matches_det(rmf_polynomial):
-    from rmfruled.cli import _closed_det_numerator
     for s in np.linspace(-4.5, 4.5, 31):
         s = float(s)
         assert abs(rmf_polynomial.ruling_det(s)
-                   - _closed_det_numerator(rmf_polynomial, s)) < 1e-8
+                   - rmf_polynomial.det_numerator_closed(s)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +295,14 @@ def test_classify_K_cross_check(helix):
     ndev = classify(make_surface(c, RotationMinimizing(0.0), "0", "s^2", "s"),
                     n_s=31, n_v=7)
     assert ndev.verdict == "no" and ndev.max_interior_abs_K > 1e-5
+
+
+def test_classify_lists_nonfinite_K_as_skipped(helix, monkeypatch):
+    surf = make_surface(helix, RotationMinimizing(0.0), "0", "1", "0")
+    real = surf.sample
+    monkeypatch.setattr(surf, "sample", lambda s, v: dataclasses.replace(
+        real(s, v), K=math.nan))
+    rep = classify(surf, n_s=13, n_v=5)
+    bad = [s for s, reason in rep.skipped_samples if reason == "NonFiniteK"]
+    assert len(bad) == 13 * 2  # every s-row at both interior v != 0
+    assert rep.max_interior_abs_K == 0.0
