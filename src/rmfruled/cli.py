@@ -65,6 +65,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _optional(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
 def _parse_dsl(text, where: str) -> ex.Expr:
     if not isinstance(text, str):
         raise ConfigError(f"{where} must be a DSL string")
@@ -72,6 +79,8 @@ def _parse_dsl(text, where: str) -> ex.Expr:
         return ex.parse(text)
     except ex.ExprSyntaxError as err:
         raise ConfigError(f"{where}: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"{where}: expression nested too deeply") from err
 
 
 def _finite(value, where: str) -> float:
@@ -140,11 +149,14 @@ def load_config(path: str) -> JobConfig:
     v_range = _range(gdoc, "v_range", "grid")
     n_s, n_v = _grid_size(gdoc, "n_s"), _grid_size(gdoc, "n_v")
 
-    tol = doc.get("tolerances", {})
-    odoc = doc.get("outputs", {})
+    tol, odoc, expect = (_optional(doc, key) for key in ("tolerances", "outputs",
+                                                          "expect"))
     fmt = odoc.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("outputs.format must be 'csv' or 'json'")
+    for key in ("mesh", "report"):
+        if not isinstance(odoc.get(key, ""), str):
+            raise ConfigError(f"outputs.{key} must be a path string")
 
     sdef = RuledSurfaceDef(curve, policy, director, *v_range)
     return JobConfig(
@@ -158,7 +170,7 @@ def load_config(path: str) -> JobConfig:
         mesh_path=odoc.get("mesh"),
         report_path=odoc.get("report"),
         fmt=fmt,
-        expect=doc.get("expect", {}),
+        expect=expect,
     )
 
 

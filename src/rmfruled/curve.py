@@ -7,10 +7,16 @@ Curvature and torsion use the general-parameter formulas
 which reduce to the classical arc-length expressions when |r'| = 1.
 Arc-length derivatives elsewhere in the package are obtained via the chain
 rule d/ds = (1/|r'|) d/dt, never by numeric reparametrization.
+
+Curve evaluation, tangents and Frenet data take a float or a 1-D grid of
+parameters.  On a grid every vector gains a leading sample axis, and a
+curvature-free sample gets NaN N, B and tau instead of raising
+:class:`VanishingCurvature`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +56,8 @@ class CurveDef:
 class FrenetData:
     """Pointwise Frenet apparatus: position, orthonormal {T, N, B}, kappa, tau.
 
-    ``speed`` is |r'| in the curve's own parameter.
+    ``speed`` is |r'| in the curve's own parameter.  From a grid, each field
+    holds one row (vectors) or element (scalars) per sample.
     """
 
     position: np.ndarray
@@ -77,24 +84,32 @@ class RegularityReport:
         return not self.speed_violations
 
 
-def _check_range(c: CurveDef, t: float):
-    if not (c.t_min - RANGE_SLACK <= t <= c.t_max + RANGE_SLACK):
-        raise ParameterOutOfRange(
-            f"t={t} outside [{c.t_min}, {c.t_max}]")
+def _first(mask, t):
+    """(index, parameter) of the first sample where ``mask`` holds, or None;
+    ``t`` and ``mask`` are a float and a bool, or a grid and an array."""
+    if not isinstance(mask, np.ndarray):
+        return (0, t) if mask else None
+    hits = np.flatnonzero(mask)
+    return (int(hits[0]), float(t[hits[0]])) if len(hits) else None
 
 
-def eval_curve(c: CurveDef, t: float):
-    """Position and first three derivatives (w.r.t. the curve's parameter)."""
+def _check_range(c: CurveDef, t):
+    inside = (c.t_min - RANGE_SLACK <= t) & (t <= c.t_max + RANGE_SLACK)
+    bad = _first(~inside if isinstance(inside, np.ndarray) else not inside, t)
+    if bad is not None:
+        raise ParameterOutOfRange(f"t={bad[1]} outside [{c.t_min}, {c.t_max}]")
+
+
+def eval_curve(c: CurveDef, t):
+    """Position and first three derivatives (w.r.t. the curve's parameter),
+    as 3-vectors at a float ``t`` or (n, 3) arrays on a grid of n."""
     _check_range(c, t)
     jets = [ex.eval_jet(e, t) for e in (c.x, c.y, c.z)]
-    pos = np.array([j.value for j in jets])
-    d1 = np.array([j.d1 for j in jets])
-    d2 = np.array([j.d2 for j in jets])
-    d3 = np.array([j.d3 for j in jets])
-    return pos, d1, d2, d3
+    out = (np.array([getattr(j, f) for j in jets]) for f in ("value", "d1", "d2", "d3"))
+    return tuple(a.T.copy() if a.ndim > 1 else a for a in out)
 
 
-def tangent_data(c: CurveDef, t: float):
+def tangent_data(c: CurveDef, t):
     """Partial Frenet data: (position, unit tangent, speed).
 
     Defined wherever |r'| > EPS_REG, including curvature-free points.
@@ -103,25 +118,46 @@ def tangent_data(c: CurveDef, t: float):
     return (pos, *_unit_tangent(d1, t))
 
 
-def _unit_tangent(d1: np.ndarray, t: float):
-    speed = float(np.linalg.norm(d1))
-    if speed <= EPS_REG:
-        raise DegenerateTangent(f"|r'|={speed:.3e} at t={t}")
-    return d1 / speed, speed
+def vec_dot(a: np.ndarray, b: np.ndarray):
+    """Dot product along the last axis: a float for two 3-vectors, an array
+    for rows.  Each row rounds as ``np.dot`` of that row alone (one kernel)."""
+    return float(a.dot(b)) if a.ndim == 1 else np.vecdot(a, b)
 
 
-def frenet(c: CurveDef, t: float) -> FrenetData:
-    """Full Frenet apparatus; raises where the frame is undefined."""
+def vec_norm(vecs: np.ndarray):
+    """Euclidean length along the last axis, rounded as ``np.linalg.norm``."""
+    sq = vec_dot(vecs, vecs)
+    return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+
+
+def _per_sample(x):
+    """A float, or a 1-D array shaped to scale one 3-vector row per element."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _unit_tangent(d1: np.ndarray, t):
+    speed = vec_norm(d1)
+    bad = _first(speed <= EPS_REG, t)
+    if bad is not None:
+        raise DegenerateTangent(f"|r'|={np.ravel(speed)[bad[0]]:.3e} at t={bad[1]}")
+    return d1 / _per_sample(speed), speed
+
+
+def frenet(c: CurveDef, t) -> FrenetData:
+    """Full Frenet apparatus at a float ``t``, raising where the frame is
+    undefined; on a grid, curvature-free samples get NaN N, B and tau."""
     pos, d1, d2, d3 = eval_curve(c, t)
     T, speed = _unit_tangent(d1, t)
     cr = np.cross(d1, d2)
-    ncr = float(np.linalg.norm(cr))
-    kappa = ncr / speed ** 3
-    if kappa <= EPS_REG:
+    ncr = vec_norm(cr)
+    kappa = ncr / ex.power(speed, 3)
+    if isinstance(t, np.ndarray):
+        ncr = np.where(kappa <= EPS_REG, np.nan, ncr)
+    elif kappa <= EPS_REG:
         raise VanishingCurvature(f"kappa={kappa:.3e} at t={t}")
-    B = cr / ncr
+    B = cr / _per_sample(ncr)
     N = np.cross(B, T)
-    tau = float(np.dot(cr, d3)) / ncr ** 2
+    tau = vec_dot(cr, d3) / ex.power(ncr, 2)
     return FrenetData(pos, T, N, B, kappa, tau, speed)
 
 

@@ -9,7 +9,9 @@ functions sin, cos, tan, atan, sqrt, exp, log, abs.  The grammar is in
 Evaluation returns a :class:`Jet3` carrying the value and the first three
 derivatives with respect to ``s``, computed by truncated-Taylor arithmetic
 (no finite differencing).  Third order is enough for curve torsion, which
-needs the third derivative of the position.
+needs the third derivative of the position.  ``s`` may be a float or a 1-D
+grid of parameters; on a grid every field of the jet is an array, and each
+element equals the jet evaluated at that parameter alone, bit for bit.
 
 Exponents must be constant expressions (no ``s``); a non-integer exponent
 additionally requires a positive base.
@@ -21,6 +23,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +67,8 @@ class ExprDomainError(ExprError):
 
 @dataclass(frozen=True, slots=True)
 class Jet3:
-    """Value and derivatives of orders 1..3 of a scalar function at a point."""
+    """Value and derivatives of orders 1..3 of a scalar function at a point,
+    or (fields as arrays) at each point of a grid."""
 
     value: float
     d1: float = 0.0
@@ -115,13 +120,45 @@ def compose(g: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
         f0,
         f1 * g.d1,
         f1 * g.d2 + f2 * g.d1 * g.d1,
-        f1 * g.d3 + 3.0 * f2 * g.d1 * g.d2 + f3 * g.d1 ** 3,
+        f1 * g.d3 + 3.0 * f2 * g.d1 * g.d2 + f3 * power(g.d1, 3),
     )
 
 
 def _reciprocal(g: Jet3) -> Jet3:
     x = g.value
-    return compose(g, 1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3, -6.0 / x ** 4)
+    return compose(g, 1.0 / x, -1.0 / power(x, 2), 2.0 / power(x, 3),
+                   -6.0 / power(x, 4))
+
+
+# ---------------------------------------------------------------------------
+# primitives: a float goes to ``math``; an array goes to a numpy ufunc where
+# that rounds like ``math`` (sin, cos, sqrt), and otherwise through ``math``
+# element by element (numpy's tan, arctan, exp, log and power differ from it
+# in the last ulp), so grid and per-point evaluation agree bit for bit.
+
+_UFUNCS = {math.sin: np.sin, math.cos: np.cos, math.sqrt: np.sqrt}
+
+
+def _apply(fn, x):
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    ufunc = _UFUNCS.get(fn)
+    if ufunc is None:
+        return np.array([fn(v) for v in x.tolist()])
+    if fn is not math.sqrt and np.isinf(x).any():
+        raise ValueError("math domain error")  # as math.sin/math.cos raise
+    return ufunc(x)
+
+
+def power(x, p: float):
+    """``x ** p`` with the rounding of a float power, elementwise on an array."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** p for v in x.tolist()])
+    return x ** p
+
+
+def _any(cond) -> bool:
+    return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +406,9 @@ def to_string(e: Expr) -> str:
 
 def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
     x = g.value
-    if x < 0 and p != round(p):
+    if _any(x < 0) and p != round(p):
         raise ExprDomainError("negative base with non-integer exponent", node)
+    zero = x == 0.0
     fs = []
     coef = 1.0
     for k in range(4):
@@ -380,58 +418,82 @@ def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
             fs.append(0.0)
             continue
         q = p - k
-        if x == 0.0:
-            if q < 0:
-                raise ExprDomainError("zero base with negative exponent", node)
-            fs.append(coef if q == 0 else 0.0)
-        else:
-            fs.append(coef * x ** q)
+        if q < 0 and _any(zero):
+            raise ExprDomainError("zero base with negative exponent", node)
+        at_zero = coef if q == 0 else 0.0
+        f = coef * power(x, q)  # finite at a zero base, since q >= 0 there
+        fs.append(np.where(zero, at_zero, f) if isinstance(x, np.ndarray)
+                  else at_zero if zero else f)
     return compose(g, *fs)
 
 
 def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
     x = g.value
     if name == "sin":
-        s, c = math.sin(x), math.cos(x)
+        s, c = _apply(math.sin, x), _apply(math.cos, x)
         return compose(g, s, c, -s, -c)
     if name == "cos":
-        s, c = math.sin(x), math.cos(x)
+        s, c = _apply(math.sin, x), _apply(math.cos, x)
         return compose(g, c, -s, -c, s)
     if name == "tan":
-        t = math.tan(x)
+        t = _apply(math.tan, x)
         sec2 = 1.0 + t * t
         return compose(g, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
     if name == "atan":
         d = 1.0 + x * x
-        return compose(g, math.atan(x), 1.0 / d, -2.0 * x / d ** 2,
-                       (6.0 * x * x - 2.0) / d ** 3)
+        return compose(g, _apply(math.atan, x), 1.0 / d, -2.0 * x / power(d, 2),
+                       (6.0 * x * x - 2.0) / power(d, 3))
     if name == "sqrt":
-        if x <= 0.0:
+        if _any(x <= 0.0):
             raise ExprDomainError("sqrt needs a positive argument for differentiation",
                                   node)
-        r = math.sqrt(x)
+        r = _apply(math.sqrt, x)
         return compose(g, r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r))
     if name == "exp":
-        v = math.exp(x)
+        v = _apply(math.exp, x)
         return compose(g, v, v, v, v)
     if name == "log":
-        if x <= 0.0:
+        if _any(x <= 0.0):
             raise ExprDomainError("log of a non-positive value", node)
-        return compose(g, math.log(x), 1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3)
+        return compose(g, _apply(math.log, x), 1.0 / x, -1.0 / power(x, 2),
+                       2.0 / power(x, 3))
     if name == "abs":
-        sgn = float((x > 0) - (x < 0))
+        sgn = 1.0 * (x > 0) - 1.0 * (x < 0)
         return compose(g, abs(x), sgn, 0.0, 0.0)
     raise ExprDomainError(f"unknown function {name}", node)
 
 
-def eval_jet(e: "Expr | str", s: float) -> Jet3:
-    """Evaluate an expression (tree or source text) at ``s`` with derivatives."""
+def eval_jet(e: "Expr | str", s) -> Jet3:
+    """Evaluate an expression (tree or source text) with derivatives at ``s``,
+    a float or a 1-D numpy array (then every field of the jet is an array).
+
+    A grid raises whatever the first failing parameter raises on its own.
+    """
     if isinstance(e, str):
         e = parse(e)
+    if isinstance(s, np.ndarray):
+        return _eval_grid(e, s.astype(float))
     try:
         return _eval(e, Jet3.variable(s))
-    except (OverflowError, ValueError) as err:  # math range and domain errors
+    except (ArithmeticError, ValueError) as err:  # math range and domain errors
         raise ExprDomainError(f"{err} at s={s}") from err
+
+
+def _eval_grid(e: Expr, grid: np.ndarray) -> Jet3:
+    # Float arithmetic overflows to inf and NaN without trapping, as numpy does
+    # with its errors ignored, but it raises on division by zero where numpy
+    # gives inf or NaN: a non-finite element is evaluated again on its own.
+    try:
+        with np.errstate(all="ignore"):
+            j = _eval(e, Jet3(grid, 1.0))
+    except (ArithmeticError, ValueError) as err:  # a math function failed
+        for t in grid.tolist():
+            eval_jet(e, t)
+        raise ExprDomainError(f"{err} on the grid") from err
+    fields = [np.full(grid.shape, f) for f in (j.value, j.d1, j.d2, j.d3)]
+    for t in grid[~np.isfinite(fields).all(axis=0)].tolist():
+        eval_jet(e, t)
+    return Jet3(*fields)
 
 
 def _eval(e: Expr, sj: Jet3) -> Jet3:
@@ -452,7 +514,7 @@ def _eval(e: Expr, sj: Jet3) -> Jet3:
             return _eval(left, sj) * _eval(right, sj)
         case BinOp("/", left, right):
             denom = _eval(right, sj)
-            if denom.value == 0.0:
+            if _any(denom.value == 0.0):
                 raise ExprDomainError("division by zero", right)
             return _eval(left, sj) * _reciprocal(denom)
         case BinOp("^", left, right):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import CurveDef, FrenetData, frenet, tangent_data
-from .errors import VanishingCurvature
+from .errors import GeometryError, VanishingCurvature
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,14 @@ def _theta_rate(fd: FrenetData) -> float:
     return -fd.speed * fd.tau
 
 
-def _theta_rates(c: CurveDef, ts, flat_fallback: bool) -> np.ndarray:
-    """d(theta)/dt at each parameter; NaN where the curvature vanishes."""
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        try:
-            out[i] = _theta_rate(frenet(c, float(t)))
-        except VanishingCurvature:
-            if not flat_fallback:
-                raise
-            out[i] = math.nan
-    return out
+def _theta_rates(c: CurveDef, ts: np.ndarray, flat_fallback: bool) -> np.ndarray:
+    """d(theta)/dt on a parameter grid; NaN where the curvature vanishes."""
+    fd = frenet(c, ts)
+    rates = _theta_rate(fd)
+    if not flat_fallback and np.isnan(rates).any():
+        k = int(np.argmax(np.isnan(rates)))
+        raise VanishingCurvature(f"kappa={fd.kappa[k]:.3e} at t={float(ts[k])}")
+    return rates
 
 
 def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
@@ -114,12 +111,7 @@ def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
     re-extracts theta where the principal normal exists again.  The 2*pi
     branch is chosen closest to the incoming angle.
     """
-    ts = np.linspace(t0, t1, n_sub)
-    pts, tans = [], []
-    for t in ts:
-        pos, T, _ = tangent_data(c, float(t))
-        pts.append(pos)
-        tans.append(T)
+    pts, tans, _ = tangent_data(c, np.linspace(t0, t1, n_sub))
     fd0 = frenet(c, t0)  # endpoints must admit a Frenet frame
     af0 = adapted_frame(fd0, theta0, 0.0)
     U, _ = double_reflection(pts, tans, af0.U)
@@ -238,6 +230,9 @@ class FrameField:
         self.policy = policy
         if isinstance(policy, RotationMinimizing):
             self._nodes = np.linspace(c.t_min, c.t_max, n_cells + 1)
+            if not np.all(np.diff(self._nodes) > 0):
+                raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
+                                    f"for {n_cells} angle-table cells")
             self._rates = np.empty(n_cells + 1)
             self._thetas = theta_rmf(c, policy.theta0, self._nodes,
                                      node_rates=self._rates)
@@ -257,10 +252,16 @@ class FrameField:
         t0, th0 = float(self._nodes[k]), float(self._thetas[k])
         if t == t0:
             return th0, rate
-        mid = float(_theta_rates(self.curve, [0.5 * (t0 + t)], True)[0])
+        try:
+            mid = _theta_rate(frenet(self.curve, 0.5 * (t0 + t)))
+        except VanishingCurvature:
+            mid = math.nan
         step = (t - t0) * (float(self._rates[k]) + 4.0 * mid + rate) / 6.0
         if math.isnan(step):
-            return _theta_across_flat(self.curve, t0, t, th0), rate
+            # Bridge from the last node at or below t that has a Frenet frame.
+            k = int(np.flatnonzero(~np.isnan(self._rates[:k + 1]))[-1])
+            return _theta_across_flat(self.curve, float(self._nodes[k]), t,
+                                      float(self._thetas[k])), rate
         return th0 + step, rate
 
     def frenet_at(self, t: float) -> FrenetData:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .curve import vec_dot, vec_norm
 from .ruled import ClassificationReport, RuledSurface
 
 OBJ_FMT = "%.9g"
@@ -45,51 +45,38 @@ class Mesh:
 
 
 def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
-    """Uniform-grid tessellation; each quad splits along its shorter diagonal."""
+    """Uniform-grid tessellation; each quad splits along its shorter diagonal.
+
+    Each s-row takes its points and normals from one ``point``/``normal``
+    call over all v.  A triangle is wound counterclockwise about the mean of
+    its vertices' normals, missing normals left out of the mean.
+    """
     if n_s < 2 or n_v < 2:
         raise ValueError("n_s and n_v must be >= 2")
     sdef = surface.sdef
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
-    verts = np.empty((n_s * n_v, 3))
-    normals = []
-    for i, s in enumerate(s_vals):
-        for j, v in enumerate(v_vals):
-            idx = i * n_v + j
-            verts[idx] = surface.point(float(s), float(v))
-            try:
-                normals.append(surface.normal(float(s), float(v)))
-            except GeometryError:
-                normals.append(None)
-    faces = []
-    for i in range(n_s - 1):
-        for j in range(n_v - 1):
-            a = i * n_v + j
-            b = (i + 1) * n_v + j
-            c = i * n_v + (j + 1)
-            d = (i + 1) * n_v + (j + 1)
-            diag_ad = np.linalg.norm(verts[a] - verts[d])
-            diag_bc = np.linalg.norm(verts[b] - verts[c])
-            if diag_ad <= diag_bc:
-                tris = ((a, b, d), (a, d, c))
-            else:
-                tris = ((a, b, c), (b, d, c))
-            for tri in tris:
-                faces.append(_orient(tri, verts, normals))
-    flat = any(n is None for n in normals)
-    return Mesh(verts, normals, np.array(faces, dtype=int), flat, n_s, n_v)
+    verts = np.concatenate([surface.point(s, v_vals) for s in s_vals.tolist()])
+    norms = np.concatenate([surface.normal(s, v_vals) for s in s_vals.tolist()])
 
+    grid = np.arange(n_s * n_v).reshape(n_s, n_v)
+    a, b = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()
+    c, d = grid[:-1, 1:].ravel(), grid[1:, 1:].ravel()
+    split_ad = vec_norm(verts[a] - verts[d]) <= vec_norm(verts[b] - verts[c])
+    first = np.where(split_ad[:, None], np.stack([a, b, d], 1), np.stack([a, b, c], 1))
+    second = np.where(split_ad[:, None], np.stack([a, d, c], 1), np.stack([b, d, c], 1))
+    faces = np.stack([first, second], 1).reshape(-1, 3)
 
-def _orient(tri, verts, normals):
-    """Flip winding so the face agrees with the stored vertex normals."""
-    ref = [normals[k] for k in tri if normals[k] is not None]
-    if not ref:
-        return tri
-    n = np.mean(ref, axis=0)
-    a, b, c = (verts[k] for k in tri)
-    if float(np.dot(np.cross(b - a, c - a), n)) < 0.0:
-        return (tri[0], tri[2], tri[1])
-    return tri
+    missing = np.isnan(norms[:, 0])
+    corner = np.where(missing[faces][:, :, None], 0.0, norms[faces])
+    total = (corner[:, 0] + corner[:, 1]) + corner[:, 2]  # np.mean's order
+    mean = total / np.maximum(3 - missing[faces].sum(axis=1), 1)[:, None]
+    p0, p1, p2 = (verts[faces[:, k]] for k in range(3))
+    flip = vec_dot(np.cross(p1 - p0, p2 - p0), mean) < 0.0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+
+    normals = [None if m else n for m, n in zip(missing.tolist(), norms)]
+    return Mesh(verts, normals, faces, bool(missing.any()), n_s, n_v)
 
 
 def write_obj(mesh: Mesh) -> str:
@@ -108,26 +95,6 @@ def write_obj(mesh: Mesh) -> str:
         else:
             lines.append(f"f {i} {j} {k}")
     return "\n".join(lines) + "\n"
-
-
-def read_obj(text: str) -> Mesh:
-    """Parse the OBJ subset produced by :func:`write_obj` (round-trip check)."""
-    verts, norms, faces = [], [], []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "vn":
-            norms.append(np.array([float(x) for x in parts[1:4]]))
-        elif parts[0] == "f":
-            faces.append([int(p.split("//")[0]) - 1 for p in parts[1:4]])
-    n = len(verts)
-    normals = norms if norms else [None] * n
-    nv = 0  # grid shape is not recoverable from OBJ
-    return Mesh(np.array(verts), list(normals), np.array(faces, dtype=int),
-                not norms, 0, nv)
 
 
 # ---------------------------------------------------------------------------

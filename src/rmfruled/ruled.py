@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, CurveDef
+from .curve import EPS_REG, CurveDef, vec_norm
 from .errors import (CylindricalPoint, GeometryError,
                      RequiresRotationMinimizingFrame, SingularPoint,
                      TangentRuling, ZeroDirector)
@@ -193,22 +193,30 @@ class RuledSurface:
             raise CylindricalPoint(f"|X'|~0 at s={s}")
         return num / den
 
-    def point(self, s: float, v: float) -> np.ndarray:
-        return self.frame(s)[0].position + v * self._director_raw(s)
+    def point(self, s: float, v) -> np.ndarray:
+        """r(s) + v X(s); ``v`` a float, or a 1-D array giving one row per v."""
+        return self.frame(s)[0].position + np.multiply.outer(v, self._director_raw(s))
 
-    def partials(self, s: float, v: float):
-        """Analytic first partials (d/ds in the curve's own parameter)."""
+    def partials(self, s: float, v):
+        """Analytic first partials (d/ds in the curve's own parameter); a 1-D
+        array ``v`` gives one row of d/ds per v."""
         fd, _ = self.frame(s)
         X = self._director_raw(s)
         dX_dt = self.director_derivative_numeric(s) * fd.speed
-        d_s = fd.speed * fd.T + v * dX_dt
+        d_s = fd.speed * fd.T + np.multiply.outer(v, dX_dt)
         return d_s, X
 
-    def normal(self, s: float, v: float) -> np.ndarray:
-        """Unit surface normal; oriented as d_s x d_v."""
+    def normal(self, s: float, v) -> np.ndarray:
+        """Unit surface normal; oriented as d_s x d_v.
+
+        A float ``v`` raises where the partials degenerate; a 1-D array gives
+        one row per v, NaN where they degenerate.
+        """
         d_s, d_v = self.partials(s, v)
         n = np.cross(d_s, d_v)
-        nn = float(np.linalg.norm(n))
+        nn = vec_norm(n)
+        if isinstance(v, np.ndarray):
+            return n / np.where(nn <= EPS_REG, np.nan, nn)[:, None]
         if nn <= EPS_REG:
             j1, j2, j3 = self.coefficients(s)
             if v == 0.0 and j2.value ** 2 + j3.value ** 2 <= EPS_REG ** 2:
@@ -341,6 +349,11 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
                 max_K = max(max_K, abs(smp.K))
             else:
                 skipped.append((float(s), "NonFiniteK"))
+
+    if verdict == "yes" and max_K > tol_K:
+        # A "no" with small K is consistent (K scales as det^2); this is not.
+        notes.append(f"det verdict 'yes' but max interior |K| = {max_K:.3e} "
+                     f"exceeds tol_K = {tol_K:.3e}")
 
     return ClassificationReport(
         verdict=verdict,

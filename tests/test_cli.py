@@ -188,6 +188,11 @@ def _exp_overflow(doc):
     doc["curve"] = {"x": "exp(s)", "y": "s", "z": "0", "s_range": [700, 800]}
 
 
+def _narrow_rmf(doc):
+    doc["curve"]["s_range"] = [1, 1 + 1e-15]  # fewer distinct floats than table nodes
+    doc["theta"] = {"mode": "rmf", "theta0": 0}
+
+
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
 @pytest.mark.parametrize("edit,code,prefix", [
@@ -201,8 +206,12 @@ def _exp_overflow(doc):
     (_rmf_theta0("x"), 2, "E_CONFIG:"),
     (_with("tolerances", "tol_dev", "x"), 2, "E_CONFIG:"),
     (_exp_overflow, 3, "E_GEOMETRY:"),
+    (_with("director", "x1", "(" * 3000 + "s" + ")" * 3000), 2, "E_CONFIG:"),
+    (lambda doc: doc.update(tolerances=None), 2, "E_CONFIG:"),
+    (_narrow_rmf, 3, "E_GEOMETRY:"),
 ], ids=["n_s-str", "n_s-bool", "n_v-float", "n_s-huge", "v_range-str",
-        "v_range-inf", "s_range-nan", "theta0-str", "tol_dev-str", "exp-overflow"])
+        "v_range-inf", "s_range-nan", "theta0-str", "tol_dev-str", "exp-overflow",
+        "dsl-deep", "tolerances-null", "rmf-range-narrow"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix):
     doc = json.loads((CONFIGS / "example2.json").read_text())
     doc.setdefault("tolerances", {})

@@ -114,3 +114,44 @@ def test_validate_regular_cusp():
     rep = validate_regular(c, 101)  # grid hits s = 0
     assert any(abs(t) < 1e-12 for t in rep.speed_violations)
     assert not rep.usable_for_tangent_only
+
+
+# ---------------------------------------------------------------------------
+# grids
+
+
+def _bytes(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("xyz,lo,hi", [
+    (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), -5.0, 5.0),
+    (("s", "s^3", "s^4"), -1.0, 1.0),  # kappa vanishes at s = 0
+    (("cos(s)+s^2/7", "exp(s/3)*sin(s)", "atan(s)"), -3.0, 3.0),
+])
+def test_grid_frenet_equals_pointwise(xyz, lo, hi):
+    c = CurveDef.from_strings(*xyz, lo, hi)
+    ts = np.linspace(lo, hi, 41)
+    fg = frenet(c, ts)
+    flat = []
+    for k, t in enumerate(ts.tolist()):
+        assert _bytes(*eval_curve(c, t)) == _bytes(*(a[k] for a in eval_curve(c, ts)))
+        try:
+            fp = frenet(c, t)
+        except VanishingCurvature:
+            flat.append(k)
+            assert np.isnan(fg.tau[k]) and np.isnan(fg.N[k]).all()
+            assert np.isnan(fg.B[k]).all() and np.isfinite(fg.T[k]).all()
+            continue
+        assert _bytes(fp.position, fp.T, fp.N, fp.B, fp.kappa, fp.tau, fp.speed) == \
+            _bytes(fg.position[k], fg.T[k], fg.N[k], fg.B[k], fg.kappa[k],
+                   fg.tau[k], fg.speed[k])
+    assert flat == ([20] if xyz[1] == "s^3" else [])
+
+
+def test_grid_degenerate_tangent_and_range_raise():
+    c = CurveDef.from_strings("s^3", "s^2", "0", -1, 1)
+    with pytest.raises(DegenerateTangent, match="at t=0.0"):
+        frenet(c, np.linspace(-1, 1, 5))
+    with pytest.raises(ParameterOutOfRange, match="t=2.0"):
+        tangent_data(c, np.array([0.5, 2.0, 3.0]))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +149,61 @@ def test_jet_matches_finite_differences(e, s):
     assert abs(j.d1 - fd1) < 1e-5 * scale
     assert abs(j.d2 - fd2) < 1e-3 * scale
     assert abs(j.d3 - fd3) < 1e-1 * scale
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation
+
+
+def _bits(j):
+    return [np.asarray(f, dtype=float).tobytes() for f in (j.value, j.d1, j.d2, j.d3)]
+
+
+def _assert_grid_matches_points(e, grid):
+    jg = ex.eval_jet(e, grid)
+    for k, s in enumerate(grid.tolist()):
+        jp = ex.eval_jet(e, s)
+        assert _bits(jp) == [np.asarray(f[k]).tobytes() for f in
+                             (jg.value, jg.d1, jg.d2, jg.d3)], (e, s)
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("sin(s)", -40.0, 40.0), ("cos(3*s)", -40.0, 40.0), ("tan(s)", -1.5, 1.5),
+    ("atan(s^2)", -30.0, 30.0), ("sqrt(s)", 1e-3, 50.0), ("exp(-s/2)", -20.0, 20.0),
+    ("log(s)", 1e-3, 1e3), ("abs(s)", -2.0, 2.0), ("abs(s^3)", -1.0, 1.0),
+    ("s^3", -3.0, 3.0), ("s^-2", 0.1, 9.0), ("s^1.5", 0.01, 4.0), ("s^0.5", 0.5, 4.0),
+    ("(s-1)^0", -2.0, 2.0), ("1/(2+s)", -1.0, 7.0), ("s/(1+s^2)", -5.0, 5.0),
+    ("-s^2", -3.0, 3.0), ("-(sin(s)*cos(s))", -3.0, 3.0), ("2", -1.0, 1.0),
+    ("pi*s", -1.0, 1.0), ("3/5*cos(s)", -5.0, 5.0),
+    ("exp(sin(s))/sqrt(2+cos(s))^3", -4.0, 4.0), ("log(1+s^2)*atan(s)", -9.0, 9.0),
+])
+def test_grid_jet_equals_pointwise_jets(text, lo, hi):
+    grid = np.concatenate([np.linspace(lo, hi, 257),
+                           np.random.default_rng(7).uniform(lo, hi, 200)])
+    _assert_grid_matches_points(ex.parse(text), grid)
+
+
+@given(_exprs(), st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=0.01, max_value=3.0))
+@settings(max_examples=150, deadline=None)
+def test_grid_jet_property(e, lo, width):
+    grid = np.linspace(lo, lo + width, 9)
+    try:
+        ex.eval_jet(e, grid)
+    except ex.ExprDomainError:
+        # the grid fails only where some parameter fails on its own
+        with pytest.raises(ex.ExprDomainError):
+            for s in grid.tolist():
+                ex.eval_jet(e, s)
+        return
+    _assert_grid_matches_points(e, grid)
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("log(s)", -1.0, 1.0), ("sqrt(s)", -1.0, 1.0), ("1/s", -1.0, 1.0),
+    ("s^-1", -1.0, 1.0), ("s^0.5", -1.0, 1.0), ("exp(s)", 700.0, 800.0),
+])
+def test_grid_domain_error_on_some_nodes(text, lo, hi):
+    grid = np.linspace(lo, hi, 11)
+    with pytest.raises(ex.ExprDomainError):
+        ex.eval_jet(text, grid)

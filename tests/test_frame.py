@@ -242,3 +242,14 @@ def test_theta_at_off_node_matches_closed_form(helix_2pi, reparam):
         assert abs(af.theta - exact(t)) < 1e-12
         assert af.theta_prime == -fd.speed * fd.tau
         assert abs(af.theta_prime - exact_rate(t)) < 1e-12
+
+
+def test_theta_at_bridges_from_flat_node_below():
+    # kappa vanishes at s = 0, which is a table node: a query just above it
+    # bridges from the last node below with a Frenet frame.
+    c = CurveDef.from_strings("s", "s^3", "s^4", -1, 1)
+    field = FrameField(c, RotationMinimizing(0.0))
+    assert 0.0 in field._nodes.tolist()
+    _, af_m = field.frame_at(-1e-4)
+    _, af_p = field.frame_at(1e-4)
+    assert float(np.dot(af_m.U, af_p.U)) > 1 - 1e-6

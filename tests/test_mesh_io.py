@@ -3,13 +3,33 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_surface
+from conftest import CONFIGS, make_surface
+from rmfruled.cli import load_config
 from rmfruled.curve import CurveDef
+from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.invariants import base_curve_report
-from rmfruled.mesh_io import (read_obj, samples_to_csv, tessellate, write_obj,
+from rmfruled.mesh_io import (Mesh, samples_to_csv, tessellate, write_obj,
                               write_report)
-from rmfruled.ruled import classify
+from rmfruled.ruled import RuledSurface, classify
+
+
+def read_obj(text: str) -> Mesh:
+    """Parse the OBJ subset produced by ``write_obj`` (grid shape not recovered)."""
+    verts, norms, faces = [], [], []
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            verts.append([float(x) for x in parts[1:4]])
+        elif parts[0] == "vn":
+            norms.append(np.array([float(x) for x in parts[1:4]]))
+        elif parts[0] == "f":
+            faces.append([int(p.split("//")[0]) - 1 for p in parts[1:4]])
+    normals = norms if norms else [None] * len(verts)
+    return Mesh(np.array(verts), list(normals), np.array(faces, dtype=int),
+                not norms, 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +114,71 @@ def test_obj_deterministic(geodesic_example):
     m1 = tessellate(geodesic_example, 21, 5)
     m2 = tessellate(geodesic_example, 21, 5)
     assert write_obj(m1) == write_obj(m2)
+
+
+def _reference_faces(verts, normals, n_s, n_v):
+    """Per-quad loop: split along the shorter diagonal, then wind each
+    triangle counterclockwise about the mean of its known vertex normals."""
+    faces = []
+    for i in range(n_s - 1):
+        for j in range(n_v - 1):
+            a, b = i * n_v + j, (i + 1) * n_v + j
+            c, d = i * n_v + j + 1, (i + 1) * n_v + j + 1
+            if np.linalg.norm(verts[a] - verts[d]) <= np.linalg.norm(verts[b] - verts[c]):
+                tris = ((a, b, d), (a, d, c))
+            else:
+                tris = ((a, b, c), (b, d, c))
+            for tri in tris:
+                ref = [normals[k] for k in tri if normals[k] is not None]
+                if ref:
+                    p, q, r = (verts[k] for k in tri)
+                    if float(np.dot(np.cross(q - p, r - p), np.mean(ref, axis=0))) < 0.0:
+                        tri = (tri[0], tri[2], tri[1])
+                faces.append(tri)
+    return np.array(faces, dtype=int)
+
+
+def _surfaces():
+    for name in ("example1", "example2", "planar_cos_zero", "planar_sin_zero",
+                 "proportional_normal_coeffs", "tangent_ruling"):
+        yield name, lambda name=name: RuledSurface(
+            load_config(str(CONFIGS / f"{name}.json")).surface)
+    # the base curve's normal is missing at s = 0, next to triangles that the
+    # known normals alone must flip
+    helix = CurveDef.from_strings("3/5*cos(s)", "3/5*sin(s)", "4/5*s", -2, 2)
+    yield "missing-normal-flips", lambda: make_surface(
+        helix, ExplicitTheta.from_string("atan(s)"), "1", "s", "s")
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=n) for n, b in _surfaces()])
+def test_rows_equal_per_vertex_evaluation(build):
+    surface = build()
+    sdef = surface.sdef
+    n_s, n_v = 21, 7
+    mesh = tessellate(surface, n_s, n_v)
+    s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
+    v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
+    k = 0
+    for s in s_vals.tolist():
+        for v in v_vals.tolist():
+            assert mesh.vertices[k].tobytes() == surface.point(s, v).tobytes()
+            try:
+                n = surface.normal(s, v)
+            except GeometryError:
+                assert mesh.normals[k] is None
+            else:
+                assert mesh.normals[k].tobytes() == n.tobytes()
+            k += 1
+    assert mesh.flat_shaded == any(n is None for n in mesh.normals)
+    assert np.array_equal(mesh.faces,
+                          _reference_faces(mesh.vertices, mesh.normals, n_s, n_v))
+
+
+def test_tangent_ruling_mesh_is_flat_shaded_obj():
+    surface = RuledSurface(load_config(str(CONFIGS / "tangent_ruling.json")).surface)
+    text = write_obj(tessellate(surface, 9, 5))
+    assert "vn " not in text
+    assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 8 * 4 * 2
 
 
 # ---------------------------------------------------------------------------

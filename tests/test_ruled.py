@@ -306,3 +306,12 @@ def test_classify_lists_nonfinite_K_as_skipped(helix, monkeypatch):
     bad = [s for s, reason in rep.skipped_samples if reason == "NonFiniteK"]
     assert len(bad) == 13 * 2  # every s-row at both interior v != 0
     assert rep.max_interior_abs_K == 0.0
+
+
+def test_classify_notes_curvature_against_yes_verdict(helix):
+    c = CurveDef.from_strings("3/5*cos(s)", "3/5*sin(s)", "4/5*s", 1.0, 5.0)
+    surf = make_surface(c, RotationMinimizing(0.0), "0", "s^2", "s")
+    assert not any("tol_K" in n for n in classify(surf, n_s=51, n_v=9).notes)
+    rep = classify(surf, n_s=51, n_v=9, tol_dev=1e3)  # det alone now says "yes"
+    assert rep.verdict == "yes" and rep.max_interior_abs_K > rep.tol_K
+    assert any("tol_K" in n for n in rep.notes)
