@@ -24,6 +24,8 @@ from . import expr as ex
 from .curve import CurveDef, FrenetData, frenet, tangent_data
 from .errors import GeometryError, VanishingCurvature
 
+_N_CELLS = 2048  # uniform cells of the RMF angle table, one Simpson panel each
+
 
 @dataclass(frozen=True)
 class RotationMinimizing:
@@ -93,25 +95,14 @@ def _theta_rate(fd: FrenetData) -> float:
     return -fd.speed * fd.tau
 
 
-def _theta_rates(c: CurveDef, ts: np.ndarray, flat_fallback: bool) -> np.ndarray:
-    """d(theta)/dt on a parameter grid; NaN where the curvature vanishes."""
-    fd = frenet(c, ts)
-    rates = _theta_rate(fd)
-    if not flat_fallback and np.isnan(rates).any():
-        k = int(np.argmax(np.isnan(rates)))
-        raise VanishingCurvature(f"kappa={fd.kappa[k]:.3e} at t={float(ts[k])}")
-    return rates
-
-
-def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
-                       n_sub: int = 33) -> float:
+def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float) -> float:
     """Carry theta over an interval containing curvature-free points.
 
-    Propagates U by double reflection (defined for any regular curve) and
-    re-extracts theta where the principal normal exists again.  The 2*pi
-    branch is chosen closest to the incoming angle.
+    Propagates U by double reflection (defined for any regular curve) on 33
+    samples and re-extracts theta where the principal normal exists again.
+    The 2*pi branch is chosen closest to the incoming angle.
     """
-    pts, tans, _ = tangent_data(c, np.linspace(t0, t1, n_sub))
+    pts, tans, _ = tangent_data(c, np.linspace(t0, t1, 33))
     fd0 = frenet(c, t0)  # endpoints must admit a Frenet frame
     af0 = adapted_frame(fd0, theta0, 0.0)
     U, _ = double_reflection(pts, tans, af0.U)
@@ -122,15 +113,14 @@ def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float,
     return theta1
 
 
-def theta_rmf(c: CurveDef, theta0: float, grid, flat_fallback: bool = True,
-              *, node_rates: np.ndarray | None = None) -> np.ndarray:
+def theta_rmf(c: CurveDef, theta0: float, grid, *,
+              node_rates: np.ndarray | None = None) -> np.ndarray:
     """Integrate d(theta)/dt = -|r'| tau over an increasing parameter grid.
 
     The rate does not depend on theta, so each grid interval is one Simpson
     panel (rates at its two nodes and its midpoint) and the angle is their
-    cumulative sum.  Intervals where the curvature vanishes are bridged by
-    double reflection when ``flat_fallback`` is set, and raise otherwise.
-    Returns theta values aligned with the grid; theta is kept unwrapped.
+    cumulative sum; intervals where the curvature vanishes are bridged by
+    double reflection.  Returns theta aligned with the grid, kept unwrapped.
     ``node_rates``, if given, receives the rates at the nodes (NaN if flat).
     """
     grid = np.asarray(grid, dtype=float)
@@ -138,8 +128,8 @@ def theta_rmf(c: CurveDef, theta0: float, grid, flat_fallback: bool = True,
         raise ValueError("grid must hold at least two parameter values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    rates = _theta_rates(c, grid, flat_fallback)
-    mids = _theta_rates(c, 0.5 * (grid[:-1] + grid[1:]), flat_fallback)
+    rates = _theta_rate(frenet(c, grid))
+    mids = _theta_rate(frenet(c, 0.5 * (grid[:-1] + grid[1:])))
     steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
     if node_rates is not None:
         node_rates[:] = rates
@@ -225,18 +215,18 @@ class FrameField:
     starting node value is shared by both sides of every node).
     """
 
-    def __init__(self, c: CurveDef, policy: ThetaPolicy, n_cells: int = 2048):
+    def __init__(self, c: CurveDef, policy: ThetaPolicy):
         self.curve = c
         self.policy = policy
         if isinstance(policy, RotationMinimizing):
-            self._nodes = np.linspace(c.t_min, c.t_max, n_cells + 1)
+            self._nodes = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
             if not np.all(np.diff(self._nodes) > 0):
                 raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
-                                    f"for {n_cells} angle-table cells")
-            self._rates = np.empty(n_cells + 1)
+                                    f"for {_N_CELLS} angle-table cells")
+            self._rates = np.empty(_N_CELLS + 1)
             self._thetas = theta_rmf(c, policy.theta0, self._nodes,
                                      node_rates=self._rates)
-            self._h = (c.t_max - c.t_min) / n_cells
+            self._h = (c.t_max - c.t_min) / _N_CELLS
 
     @property
     def is_rmf(self) -> bool:

@@ -10,7 +10,8 @@ disagree in general:
   whose zero set is the standard line-of-curvature condition.
 
 Every closed form here has a finite-difference oracle in this module that
-depends only on surface points and normals.
+differences surface normals and the curve's unit tangent, reading T and |r'|
+at s and s +- h from the surface's cached frame.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import EPS_REG, tangent_data
-from .errors import GeometryError, TangentRuling
+from .curve import EPS_REG
+from .errors import GeometryError, TangentRuling, ZeroDirector
 from .frame import frame_angular_velocity
-from .ruled import RuledSurface
+from .ruled import FD_STEP, RuledSurface
 
 # Closed-form residuals are exact identities; finite-difference-backed
 # checks live in a separate error regime.
@@ -85,55 +86,48 @@ def curvature_line_residual_closed(surface: RuledSurface, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracles (surface points and normals only)
+# finite-difference oracles (surface normals and the unit tangent only)
 
 
-def _tangent_arc_derivative(surface: RuledSurface, s: float, h: float):
-    c = surface.sdef.curve
-    _, Tm, _ = tangent_data(c, s - h)
-    _, Tp, _ = tangent_data(c, s + h)
-    _, T, speed = tangent_data(c, s)
-    return T, (Tp - Tm) / (2 * h) / speed
+def _arc_derivative(surface: RuledSurface, s: float, f):
+    """(f(s), d f/ds per arc length) by a central difference of step FD_STEP."""
+    h = FD_STEP
+    return f(s), (f(s + h) - f(s - h)) / (2 * h) / surface.frame(s)[0].speed
 
 
-def geodesic_curvature_numeric(surface: RuledSurface, s: float,
-                               h: float = 1e-4) -> float:
+def _tangent_arc_derivative(surface: RuledSurface, s: float):
+    return _arc_derivative(surface, s, lambda t: surface.frame(t)[0].T)
+
+
+def _normal_arc_derivative(surface: RuledSurface, s: float):
+    return _arc_derivative(surface, s, lambda t: surface.normal(t, 0.0))
+
+
+def geodesic_curvature_numeric(surface: RuledSurface, s: float) -> float:
     """< N x T, T' > with a finite-difference tangent derivative."""
     n = surface.normal(s, 0.0)
-    T, Tp = _tangent_arc_derivative(surface, s, h)
+    T, Tp = _tangent_arc_derivative(surface, s)
     return float(np.dot(np.cross(n, T), Tp))
 
 
-def normal_curvature_numeric(surface: RuledSurface, s: float,
-                             h: float = 1e-4) -> float:
+def normal_curvature_numeric(surface: RuledSurface, s: float) -> float:
     """< r'', N > with the second arc-length derivative by finite differences."""
     n = surface.normal(s, 0.0)
-    _, Tp = _tangent_arc_derivative(surface, s, h)
+    _, Tp = _tangent_arc_derivative(surface, s)
     return float(np.dot(Tp, n))
 
 
-def _normal_arc_derivative(surface: RuledSurface, s: float, h: float):
-    nm = surface.normal(s - h, 0.0)
-    np_ = surface.normal(s + h, 0.0)
-    n = surface.normal(s, 0.0)
-    _, _, speed = tangent_data(surface.sdef.curve, s)
-    return n, (np_ - nm) / (2 * h) / speed
-
-
-def geodesic_torsion_numeric(surface: RuledSurface, s: float,
-                             h: float = 1e-4) -> float:
+def geodesic_torsion_numeric(surface: RuledSurface, s: float) -> float:
     """< N x N', T' > by finite differences of the v=0 surface normal."""
-    n, dn = _normal_arc_derivative(surface, s, h)
-    _, Tp = _tangent_arc_derivative(surface, s, h)
+    n, dn = _normal_arc_derivative(surface, s)
+    _, Tp = _tangent_arc_derivative(surface, s)
     return float(np.dot(np.cross(n, dn), Tp))
 
 
-def curvature_line_residual_numeric(surface: RuledSurface, s: float,
-                                    h: float = 1e-4) -> float:
+def curvature_line_residual_numeric(surface: RuledSurface, s: float) -> float:
     """< N', N x T > by finite differences of the v=0 surface normal."""
-    n, dn = _normal_arc_derivative(surface, s, h)
-    _, T, _ = tangent_data(surface.sdef.curve, s)
-    return float(np.dot(dn, np.cross(n, T)))
+    n, dn = _normal_arc_derivative(surface, s)
+    return float(np.dot(dn, np.cross(n, surface.frame(s)[0].T)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +172,19 @@ def base_curve_report(surface: RuledSurface, s_values,
     Samples without a Frenet frame (vanishing curvature) or where the ruling
     is momentarily tangent (x2 = x3 = 0) carry NaN invariants and are left
     out of the conditions; if the ruling is tangent at every sample the
-    director is parallel to the tangent and no condition applies.
+    director is parallel to the tangent and no condition applies.  A director
+    that vanishes at every sample raises :class:`ZeroDirector`.
     """
     samples = []
     excluded = []
-    max_w = 0.0
+    max_w = max_x = 0.0
     for s in s_values:
         s = float(s)
         j1, j2, j3 = surface.coefficients(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
         w2 = x2 * x2 + x3 * x3
         max_w = max(max_w, w2)
+        max_x = max(max_x, abs(x1), abs(x2), abs(x3))
         try:
             fd, af = surface.frame(s)
         except GeometryError:
@@ -213,6 +209,8 @@ def base_curve_report(surface: RuledSurface, s_values,
             geodesic_torsion(x2, x3, th, fd.kappa),
             curvature_line_residual_closed(surface, s),
             *condition_residuals(x2, x3, th)))
+    if samples and max_x <= EPS_REG:
+        raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
 
     parallel_tangent = max_w <= EPS_REG ** 2
     skip = set(excluded)

@@ -100,6 +100,7 @@ class RuledSurface:
         self.sdef = sdef
         self.field = FrameField(sdef.curve, sdef.theta)
         self._frame_at = functools.lru_cache(maxsize=8192)(self.field.frame_at)
+        self._row = functools.lru_cache(maxsize=8192)(self._director_row)
 
     @property
     def is_rmf(self) -> bool:
@@ -112,14 +113,21 @@ class RuledSurface:
         d = self.sdef.director
         return (ex.eval_jet(d.x1, s), ex.eval_jet(d.x2, s), ex.eval_jet(d.x3, s))
 
-    def _director_raw(self, s: float) -> np.ndarray:
+    def _director_row(self, s: float):
+        """(coefficient jets, X, X' per arc length) at s, cached as ``_row``: the
+        one evaluation of X and X'; both read-only, as all callers share them."""
         fd, af = self.frame(s)
-        j1, j2, j3 = self.coefficients(s)
-        return j1.value * fd.T + j2.value * af.U + j3.value * af.V
+        jets = j1, j2, j3 = self.coefficients(float(s))
+        X = j1.value * fd.T + j2.value * af.U + j3.value * af.V
+        Xp = np.zeros(3)
+        for j, e_vec, de in zip(jets, (fd.T, af.U, af.V), frame_derivatives(fd, af)):
+            Xp += (j.d1 / fd.speed) * e_vec + j.value * de
+        X.flags.writeable = Xp.flags.writeable = False
+        return jets, X, Xp
 
     def director(self, s: float) -> np.ndarray:
         """World-space ruling direction X = x1 T + x2 U + x3 V."""
-        X = self._director_raw(s)
+        _, X, _ = self._row(s)
         if np.linalg.norm(X) <= EPS_REG:
             raise ZeroDirector(f"|X|~0 at s={s}")
         return X
@@ -135,7 +143,7 @@ class RuledSurface:
                 "closed-form director derivative assumes a rotation minimizing "
                 "frame; use the numeric path for explicit theta")
         fd, af = self.frame(s)
-        j1, j2, j3 = self.coefficients(s)
+        (j1, j2, j3), _, _ = self._row(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
         # coefficient derivatives converted to arc length
         p1, p2, p3 = (j.d1 / fd.speed for j in (j1, j2, j3))
@@ -151,37 +159,26 @@ class RuledSurface:
 
     def director_derivative_numeric(self, s: float) -> np.ndarray:
         """World-space X' per arc length, valid for any theta policy."""
-        fd, af = self.frame(s)
-        j1, j2, j3 = self.coefficients(s)
-        dT, dU, dV = frame_derivatives(fd, af)
-        out = np.zeros(3)
-        for j, e_vec, de in ((j1, fd.T, dT), (j2, af.U, dU), (j3, af.V, dV)):
-            out += (j.d1 / fd.speed) * e_vec + j.value * de
-        return out
-
-    def _det_and_xp2(self, s: float):
-        """(det(T, X, X'), |X'|^2) from one evaluation of X'."""
-        fd, _ = self.frame(s)
-        Xp = self.director_derivative_numeric(s)
-        det = float(np.linalg.det(np.column_stack([fd.T, self._director_raw(s), Xp])))
-        return det, float(np.dot(Xp, Xp))
+        return self._row(s)[2]
 
     def ruling_det(self, s: float) -> float:
         """det(T, X, X') -- the developability indicator at s."""
-        return self._det_and_xp2(s)[0]
+        _, X, Xp = self._row(s)
+        return float(np.linalg.det(np.column_stack([self.frame(s)[0].T, X, Xp])))
 
     def distribution_parameter(self, s: float) -> float:
         """det(T, X, X') / |X'|^2; raises at cylindrical points (|X'| ~ 0)."""
-        det, n2 = self._det_and_xp2(s)
+        _, _, Xp = self._row(s)
+        n2 = float(np.dot(Xp, Xp))
         if n2 <= EPS_REG ** 2:
             raise CylindricalPoint(f"|X'|~0 at s={s}")
-        return det / n2
+        return self.ruling_det(s) / n2
 
     def det_numerator_closed(self, s: float) -> float:
         """Closed RMF form of det(T, X, X') = x2 X'_V - x3 X'_U, that is
         (x2 x3' - x3 x2') - kappa x1 (x2 sin(theta) + x3 cos(theta))."""
         comps, _ = self.director_derivative_closed(s)
-        _, j2, j3 = self.coefficients(s)
+        (_, j2, j3), _, _ = self._row(s)
         return j2.value * comps[2] - j3.value * comps[1]
 
     def distribution_parameter_closed(self, s: float) -> float:
@@ -195,15 +192,14 @@ class RuledSurface:
 
     def point(self, s: float, v) -> np.ndarray:
         """r(s) + v X(s); ``v`` a float, or a 1-D array giving one row per v."""
-        return self.frame(s)[0].position + np.multiply.outer(v, self._director_raw(s))
+        return self.frame(s)[0].position + np.multiply.outer(v, self._row(s)[1])
 
     def partials(self, s: float, v):
         """Analytic first partials (d/ds in the curve's own parameter); a 1-D
         array ``v`` gives one row of d/ds per v."""
         fd, _ = self.frame(s)
-        X = self._director_raw(s)
-        dX_dt = self.director_derivative_numeric(s) * fd.speed
-        d_s = fd.speed * fd.T + np.multiply.outer(v, dX_dt)
+        _, X, Xp = self._row(s)
+        d_s = fd.speed * fd.T + np.multiply.outer(v, Xp * fd.speed)
         return d_s, X
 
     def normal(self, s: float, v) -> np.ndarray:
@@ -218,25 +214,23 @@ class RuledSurface:
         if isinstance(v, np.ndarray):
             return n / np.where(nn <= EPS_REG, np.nan, nn)[:, None]
         if nn <= EPS_REG:
-            j1, j2, j3 = self.coefficients(s)
+            (_, j2, j3), _, _ = self._row(s)
             if v == 0.0 and j2.value ** 2 + j3.value ** 2 <= EPS_REG ** 2:
                 raise TangentRuling(f"x2=x3=0 at s={s}: no normal on the base curve")
             raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
         return n / nn
 
-    def sample(self, s: float, v: float, h: float = FD_STEP) -> SurfaceSample:
+    def sample(self, s: float, v: float) -> SurfaceSample:
         """Finite-difference fundamental forms (independent of the closed forms)."""
-        p = self.point(s, v)
-        pss = self.point(s + h, v)
-        psm = self.point(s - h, v)
-        pvv = self.point(s, v + h)
-        pvm = self.point(s, v - h)
+        h = FD_STEP
+        vs = np.array([v - h, v, v + h])
+        (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = (
+            self.point(t, vs) for t in (s - h, s, s + h))
         d_s = (pss - psm) / (2 * h)
         d_v = (pvv - pvm) / (2 * h)
         dss = (pss - 2 * p + psm) / h ** 2
         dvv = (pvv - 2 * p + pvm) / h ** 2
-        dsv = (self.point(s + h, v + h) - self.point(s + h, v - h)
-               - self.point(s - h, v + h) + self.point(s - h, v - h)) / (4 * h ** 2)
+        dsv = (ppp - ppm - pmp + pmm) / (4 * h ** 2)
         E = float(np.dot(d_s, d_s))
         F = float(np.dot(d_s, d_v))
         G = float(np.dot(d_v, d_v))
@@ -281,7 +275,8 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
 
     The verdict comes from max |det(T, X, X')| on the s-grid (numeric path,
     valid for both theta policies) with a 10x hysteresis band for
-    "borderline", and is cross-checked against max |K| at interior v.
+    "borderline", and is cross-checked against max |K| at interior v.  A
+    director that vanishes at every grid node raises :class:`ZeroDirector`.
     """
     sdef = surface.sdef
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
@@ -300,6 +295,8 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
             rows.append((s, fd.kappa, fd.speed, af.theta, jets))
         except GeometryError as err:
             skipped.append((s, type(err).__name__))
+    if max(max_abs) <= EPS_REG:
+        raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
     if not dets:
         raise GeometryError("no usable samples on the classification grid")
     max_det = float(np.max(np.abs(dets)))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import CONFIGS
+from rmfruled import ruled
 from rmfruled.cli import load_config, main
 
 
@@ -170,6 +171,49 @@ def test_curvature_free_grid_node_is_excluded(tmp_path):
     assert 0.0 in rep["base_curve"]["excluded"]
     assert [0.0, "VanishingCurvature"] in rep["skipped_samples"]
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) != 3
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_zero_director_is_a_geometry_error(tmp_path, capsys, command):
+    # example1's own director (s^2, s^2, s) vanishes only at s = 0 and is fine
+    doc = json.loads((CONFIGS / "example1.json").read_text())
+    doc["director"] = {"x1": "0", "x2": "0", "x3": "0"}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_GEOMETRY:") and "every grid node" in err
+    assert not out.exists()
+
+
+def test_verify_evaluates_director_derivative_once_per_s(tmp_path, monkeypatch):
+    seen = []
+    frame_derivatives = ruled.frame_derivatives
+
+    def spy(fd, af):
+        seen.append(fd.position.tobytes())  # distinct s, distinct helix point
+        return frame_derivatives(fd, af)
+
+    monkeypatch.setattr(ruled, "frame_derivatives", spy)
+    assert main(["verify", "--config", str(CONFIGS / "proportional_normal_coeffs.json"),
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_frames_do_not_evaluate_the_director(tmp_path):
+    # x1 = 1/s has no value at the grid node s = 0, which frames never needs
+    texts = []
+    for x1 in ("1/s", "1"):
+        doc = json.loads((CONFIGS / "example1.json").read_text())
+        doc["curve"]["s_range"] = [-1, 1]
+        doc["theta"] = {"mode": "rmf", "theta0": 0}
+        doc["director"]["x1"] = x1
+        cfg, out = tmp_path / "c.json", tmp_path / f"{len(texts)}.csv"
+        cfg.write_text(json.dumps(doc))
+        assert main(["frames", "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] and "\n0,0.6," in texts[0]
 
 
 def _with(section, key, value):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rmfruled.curve import CurveDef, frenet, tangent_data
-from rmfruled.errors import VanishingCurvature
 from rmfruled.frame import (ExplicitTheta, FrameField, RotationMinimizing,
                             adapted_frame, double_reflection,
                             frame_derivatives, theta_rmf)
@@ -52,16 +51,11 @@ def test_theta_rmf_requires_increasing_grid(helix_2pi):
         theta_rmf(helix_2pi, 0.0, [0.0, 1.0, 0.5])
 
 
-def test_theta_rmf_raises_without_fallback(line):
-    with pytest.raises(VanishingCurvature):
-        theta_rmf(line, 0.0, np.linspace(-1, 1, 11), flat_fallback=False)
-
-
 def test_theta_rmf_across_inflection():
     # Planar curve with an inflection at s = 0: N flips there, so theta must
     # jump by pi while U itself stays continuous.
     c = CurveDef.from_strings("s", "s^3/3", "0", -1, 1)
-    field = FrameField(c, RotationMinimizing(0.0), n_cells=64)
+    field = FrameField(c, RotationMinimizing(0.0))
     _, af_m = field.frame_at(-0.5)
     _, af_p = field.frame_at(0.5)
     assert np.dot(af_m.U, af_p.U) > 1 - 1e-6  # U continuous across the flat point

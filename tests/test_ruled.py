@@ -99,6 +99,22 @@ def test_numeric_frozen_theta(helix):
     assert Xp == pytest.approx(expected, abs=1e-12)
 
 
+def test_director_row_is_shared_read_only(rmf_polynomial):
+    Xp = rmf_polynomial.director_derivative_numeric(0.3)
+    before = Xp.copy()
+    with pytest.raises(ValueError):
+        Xp += 1.0
+    with pytest.raises(ValueError):
+        rmf_polynomial.director(0.3)[0] = 0.0
+    assert np.array_equal(rmf_polynomial.director_derivative_numeric(0.3), before)
+
+
+def test_frame_does_not_evaluate_the_director(helix):
+    surf = make_surface(helix, RotationMinimizing(0.0), "1/s", "0", "1")
+    surf.frame(0.0)
+    assert surf._row.cache_info().currsize == 0
+
+
 def test_numeric_constant_frame(line):
     surf = make_surface(line, ExplicitTheta.from_string("0"), "0", "1", "1")
     # straight line has no Frenet frame; the numeric path needs one
