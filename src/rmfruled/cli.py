@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -237,33 +238,33 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
     grid = _s_grid(job)
     bc = invariants.base_curve_report(surface, grid, tol=job.tol_inv)
-    usable = [r for r in bc.samples if not math.isnan(r.k_g)]
+    kappa, k_g, k_n, tau_g, rho = np.array(list(map(operator.attrgetter(
+        "kappa", "k_g", "k_n", "tau_g", "rho"), bc.samples))).T
+    usable = ~np.isnan(k_g)
 
     checks = []
-    if usable:
-        _check(checks, "k_g closed vs <NxT,T'> oracle",
-               max(abs(r.k_g - invariants.geodesic_curvature_numeric(surface, r.s))
-                   for r in usable), invariants.TOL_FD)
-        _check(checks, "k_n closed vs <r'',N> oracle",
-               max(abs(r.k_n - invariants.normal_curvature_numeric(surface, r.s))
-                   for r in usable), invariants.TOL_FD)
-        _check(checks, "tau_g closed vs <NxN',T'> oracle",
-               max(abs(r.tau_g - invariants.geodesic_torsion_numeric(surface, r.s))
-                   for r in usable), invariants.TOL_FD)
-        _check(checks, "rho closed vs <N',NxT> oracle",
-               max(abs(r.rho - invariants.curvature_line_residual_numeric(surface, r.s))
-                   for r in usable), invariants.TOL_FD)
+    if usable.any():
+        for name, closed, oracle in (
+                ("k_g closed vs <NxT,T'>", k_g, invariants.geodesic_curvature_numeric),
+                ("k_n closed vs <r'',N>", k_n, invariants.normal_curvature_numeric),
+                ("tau_g closed vs <NxN',T'>", tau_g,
+                 invariants.geodesic_torsion_numeric),
+                ("rho closed vs <N',NxT>", rho,
+                 invariants.curvature_line_residual_numeric)):
+            numeric = oracle(surface, grid)[usable]  # frames on G and G +- h, shared
+            ruled._float_path(lambda t: oracle(surface, t), grid[usable], numeric, ())
+            _check(checks, name + " oracle", ruled._max_abs(closed[usable] - numeric),
+                   invariants.TOL_FD)
         _check(checks, "tau_g = -k_g*k_n identity",
-               max(abs(r.tau_g + r.k_g * r.k_n) for r in usable), 1e-10)
-    framed = [r.s for r in bc.samples if not math.isnan(r.kappa)]
-    if surface.is_rmf and framed:
-        err = max(float(np.max(np.abs(surface.director_derivative_closed(s)[1]
-                                      - surface.director_derivative_numeric(s))))
-                  for s in framed)
-        _check(checks, "closed vs numeric director derivative", err, 1e-8)
-        det_err = max(abs(surface.ruling_det(s) - surface.det_numerator_closed(s))
-                      for s in framed)
-        _check(checks, "det(T,X,X') vs closed numerator", det_err, 1e-8)
+               ruled._max_abs((tau_g + k_g * k_n)[usable]), 1e-10)
+    framed = grid[~np.isnan(kappa)]
+    if surface.is_rmf and framed.size:
+        err = np.abs(surface.director_derivative_closed(framed)[1]
+                     - surface.director_derivative_numeric(framed))
+        _check(checks, "closed vs numeric director derivative",
+               max(np.max(err, axis=1).tolist()), 1e-8)
+        det_err = surface.ruling_det(framed) - surface.det_numerator_closed(framed)
+        _check(checks, "det(T,X,X') vs closed numerator", ruled._max_abs(det_err), 1e-8)
 
     expect_results = []
     flag_map = {

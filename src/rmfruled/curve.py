@@ -135,6 +135,16 @@ def _per_sample(x):
     return x[:, None] if isinstance(x, np.ndarray) else x
 
 
+def _guard(value, bad, error):
+    """``value`` with NaN where ``bad`` holds on a grid; at a float, raise
+    ``error()`` if ``bad`` holds."""
+    if isinstance(bad, np.ndarray):
+        return np.where(bad, np.nan, value)
+    if bad:
+        raise error()
+    return value
+
+
 def _unit_tangent(d1: np.ndarray, t):
     speed = vec_norm(d1)
     bad = _first(speed <= EPS_REG, t)
@@ -151,10 +161,8 @@ def frenet(c: CurveDef, t) -> FrenetData:
     cr = np.cross(d1, d2)
     ncr = vec_norm(cr)
     kappa = ncr / ex.power(speed, 3)
-    if isinstance(t, np.ndarray):
-        ncr = np.where(kappa <= EPS_REG, np.nan, ncr)
-    elif kappa <= EPS_REG:
-        raise VanishingCurvature(f"kappa={kappa:.3e} at t={t}")
+    ncr = _guard(ncr, kappa <= EPS_REG,
+                 lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
     B = cr / _per_sample(ncr)
     N = np.cross(B, T)
     tau = vec_dot(cr, d3) / ex.power(ncr, 2)

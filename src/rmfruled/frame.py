@@ -10,6 +10,8 @@ The frame itself is U = cos(theta) N + sin(theta) B, V = -sin(theta) N +
 cos(theta) B.  Discrete RMF propagation via double reflection is provided
 both as a standalone operation and as the fallback for integrating theta
 across curvature-free points, where tau is undefined but the RMF is not.
+Frames, angles and frame derivatives take a float or a 1-D grid, as
+:func:`curve.frenet` does, each grid element equal to the float evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveDef, FrenetData, frenet, tangent_data
+from .curve import CurveDef, FrenetData, _per_sample, frenet, tangent_data
 from .errors import GeometryError, VanishingCurvature
 
 _N_CELLS = 2048  # uniform cells of the RMF angle table, one Simpson panel each
@@ -59,9 +61,15 @@ class AdaptedFrame:
     theta_prime: float  # d(theta)/dt in the curve parameter
 
 
-def adapted_frame(fd: FrenetData, theta: float, theta_prime: float) -> AdaptedFrame:
-    """Rotate (N, B) by theta in the normal plane."""
-    c, s = math.cos(theta), math.sin(theta)
+def _cos_sin(theta):
+    """(cos, sin) of a float, or per sample of a grid (numpy rounds these two
+    as ``math`` does)."""
+    return ex._apply(math.cos, theta), ex._apply(math.sin, theta)
+
+
+def adapted_frame(fd: FrenetData, theta, theta_prime) -> AdaptedFrame:
+    """Rotate (N, B) by theta in the normal plane; one row per grid sample."""
+    c, s = map(_per_sample, _cos_sin(theta))
     U = c * fd.N + s * fd.B
     V = -s * fd.N + c * fd.B
     return AdaptedFrame(fd.T, U, V, theta, theta_prime)
@@ -79,11 +87,12 @@ def frame_derivatives(fd: FrenetData, af: AdaptedFrame):
     and V' = kappa sin(theta) T - phi U.  phi = 0 recovers the RMF rules,
     where U' and V' are parallel to the tangent.
     """
-    phi = frame_angular_velocity(fd, af)
-    c, s = math.cos(af.theta), math.sin(af.theta)
-    dT = fd.kappa * fd.N
-    dU = -fd.kappa * c * fd.T + phi * af.V
-    dV = fd.kappa * s * fd.T - phi * af.U
+    phi = _per_sample(frame_angular_velocity(fd, af))
+    c, s = map(_per_sample, _cos_sin(af.theta))
+    k = _per_sample(fd.kappa)
+    dT = k * fd.N
+    dU = -k * c * fd.T + phi * af.V
+    dV = k * s * fd.T - phi * af.U
     return dT, dU, dV
 
 
@@ -212,7 +221,8 @@ class FrameField:
     For the RMF policy, theta is tabulated on a uniform node grid once, one
     Simpson panel per cell, and queried by one more panel from the nearest
     node below, which keeps theta(t) smooth within machine accuracy (the
-    starting node value is shared by both sides of every node).
+    starting node value is shared by both sides of every node).  A grid of
+    queries takes its midpoint rates from one grid Frenet call.
     """
 
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
@@ -232,33 +242,31 @@ class FrameField:
     def is_rmf(self) -> bool:
         return isinstance(self.policy, RotationMinimizing)
 
-    def theta_at(self, t: float, fd: FrenetData):
-        """(theta, d(theta)/dt) at parameter t, whose Frenet data is ``fd``."""
+    def theta_at(self, t, fd: FrenetData):
+        """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
+        ``fd``; only samples with a frame but a NaN panel are bridged."""
         if isinstance(self.policy, ExplicitTheta):
             j = ex.eval_jet(self.policy.theta, t)
             return j.value, j.d1
         rate = _theta_rate(fd)
-        k = int(np.clip((t - self.curve.t_min) // self._h, 0, len(self._nodes) - 2))
-        t0, th0 = float(self._nodes[k]), float(self._thetas[k])
-        if t == t0:
-            return th0, rate
-        try:
-            mid = _theta_rate(frenet(self.curve, 0.5 * (t0 + t)))
-        except VanishingCurvature:
-            mid = math.nan
-        step = (t - t0) * (float(self._rates[k]) + 4.0 * mid + rate) / 6.0
-        if math.isnan(step):
+        k = np.clip((t - self.curve.t_min) // self._h, 0,
+                    len(self._nodes) - 2).astype(int)
+        t0, th0 = self._nodes[k], self._thetas[k]
+        mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))  # NaN if flat
+        step = (t - t0) * (self._rates[k] + 4.0 * mid + rate) / 6.0
+        theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
+        for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
             # Bridge from the last node at or below t that has a Frenet frame.
-            k = int(np.flatnonzero(~np.isnan(self._rates[:k + 1]))[-1])
-            return _theta_across_flat(self.curve, float(self._nodes[k]), t,
-                                      float(self._thetas[k])), rate
-        return th0 + step, rate
+            j = int(np.flatnonzero(~np.isnan(self._rates[:np.ravel(k)[i] + 1]))[-1])
+            theta[i] = _theta_across_flat(self.curve, float(self._nodes[j]),
+                                          float(np.ravel(t)[i]), float(self._thetas[j]))
+        return (theta if isinstance(t, np.ndarray) else theta.item()), rate
 
-    def frenet_at(self, t: float) -> FrenetData:
+    def frenet_at(self, t) -> FrenetData:
         return frenet(self.curve, t)
 
-    def frame_at(self, t: float):
-        """(FrenetData, AdaptedFrame) at parameter t."""
+    def frame_at(self, t):
+        """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where kappa = 0."""
         fd = self.frenet_at(t)
         theta, theta_prime = self.theta_at(t, fd)
         return fd, adapted_frame(fd, theta, theta_prime)

@@ -11,7 +11,8 @@ disagree in general:
 
 Every closed form here has a finite-difference oracle in this module that
 differences surface normals and the curve's unit tangent, reading T and |r'|
-at s and s +- h from the surface's cached frame.
+at s and s +- h from the surface's cached frame.  Invariants and oracles
+take floats or 1-D grids; where a float call raises, a grid gives NaN.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import EPS_REG
-from .errors import GeometryError, TangentRuling, ZeroDirector
-from .frame import frame_angular_velocity
-from .ruled import FD_STEP, RuledSurface
+from . import expr as ex
+from .curve import EPS_REG, _guard, _per_sample, vec_dot
+from .errors import TangentRuling
+from .frame import _cos_sin, frame_angular_velocity
+from .ruled import FD_STEP, RuledSurface, _director_scale, _float_path
 
 # Closed-form residuals are exact identities; finite-difference-backed
 # checks live in a separate error regime.
@@ -32,52 +34,51 @@ TOL_CLOSED = 1e-9
 TOL_FD = 1e-5
 
 
-def _ruling_weight2(x2: float, x3: float) -> float:
+def _ruling_weight2(x2, x3):
     """x2^2 + x3^2; raises where the ruling is tangent to the base curve."""
     w2 = x2 * x2 + x3 * x3
-    if w2 <= EPS_REG ** 2:
-        raise TangentRuling("x2 = x3 = 0: ruling is tangent to the base curve")
-    return w2
+    return _guard(w2, w2 <= EPS_REG ** 2, lambda: TangentRuling(
+        "x2 = x3 = 0: ruling is tangent to the base curve"))
 
 
-def condition_residuals(x2: float, x3: float, theta: float):
+def condition_residuals(x2, x3, theta):
     """Geodesic, asymptotic and tan(2 theta) residuals, as in BaseCurveSample."""
-    c, sn = math.cos(theta), math.sin(theta)
+    c, sn = _cos_sin(theta)
+    c2, s2 = _cos_sin(2 * theta)
     return (x2 * c - x3 * sn,
             x3 * c + x2 * sn,
-            0.5 * math.sin(2 * theta) * (x3 * x3 - x2 * x2)
-            - math.cos(2 * theta) * x2 * x3)
+            0.5 * s2 * (x3 * x3 - x2 * x2) - c2 * x2 * x3)
 
 
-def geodesic_curvature(x2: float, x3: float, theta: float, kappa: float) -> float:
+def geodesic_curvature(x2, x3, theta, kappa):
     """kappa (x2 cos - x3 sin) / sqrt(x2^2 + x3^2); pointwise in the frame."""
-    w = math.sqrt(_ruling_weight2(x2, x3))
+    w = ex._apply(math.sqrt, _ruling_weight2(x2, x3))
     return kappa * condition_residuals(x2, x3, theta)[0] / w
 
 
-def normal_curvature(x2: float, x3: float, theta: float, kappa: float) -> float:
+def normal_curvature(x2, x3, theta, kappa):
     """-kappa (x3 cos + x2 sin) / sqrt(x2^2 + x3^2)."""
-    w = math.sqrt(_ruling_weight2(x2, x3))
+    w = ex._apply(math.sqrt, _ruling_weight2(x2, x3))
     return -kappa * condition_residuals(x2, x3, theta)[1] / w
 
 
-def geodesic_torsion(x2: float, x3: float, theta: float, kappa: float) -> float:
+def geodesic_torsion(x2, x3, theta, kappa):
     """-kappa^2/(x2^2+x3^2) * (sin(2 theta)(x3^2 - x2^2)/2 - cos(2 theta) x2 x3).
 
     Algebraically identical to -k_g * k_n.
     """
     w2 = _ruling_weight2(x2, x3)
-    return -kappa ** 2 / w2 * condition_residuals(x2, x3, theta)[2]
+    return -ex.power(kappa, 2) / w2 * condition_residuals(x2, x3, theta)[2]
 
 
-def curvature_line_residual_closed(surface: RuledSurface, s: float) -> float:
+def curvature_line_residual_closed(surface: RuledSurface, s):
     """Rodrigues residual (x2' x3 - x2 x3')/(x2^2+x3^2) - phi, per arc length.
 
     Zero along the whole curve iff the base curve is a line of curvature in
     the standard sense.  phi is the frame's normal-plane rotation rate.
     """
     fd, af = surface.frame(s)
-    _, j2, j3 = surface.coefficients(s)
+    (_, j2, j3), _, _ = surface._row(s)
     x2, x3 = j2.value, j3.value
     w2 = _ruling_weight2(x2, x3)
     p2, p3 = j2.d1 / fd.speed, j3.d1 / fd.speed
@@ -89,45 +90,46 @@ def curvature_line_residual_closed(surface: RuledSurface, s: float) -> float:
 # finite-difference oracles (surface normals and the unit tangent only)
 
 
-def _arc_derivative(surface: RuledSurface, s: float, f):
+def _arc_derivative(surface: RuledSurface, s, f):
     """(f(s), d f/ds per arc length) by a central difference of step FD_STEP."""
     h = FD_STEP
-    return f(s), (f(s + h) - f(s - h)) / (2 * h) / surface.frame(s)[0].speed
+    speed = _per_sample(surface.frame(s)[0].speed)
+    return f(s), (f(s + h) - f(s - h)) / (2 * h) / speed
 
 
-def _tangent_arc_derivative(surface: RuledSurface, s: float):
+def _tangent_arc_derivative(surface: RuledSurface, s):
     return _arc_derivative(surface, s, lambda t: surface.frame(t)[0].T)
 
 
-def _normal_arc_derivative(surface: RuledSurface, s: float):
+def _normal_arc_derivative(surface: RuledSurface, s):
     return _arc_derivative(surface, s, lambda t: surface.normal(t, 0.0))
 
 
-def geodesic_curvature_numeric(surface: RuledSurface, s: float) -> float:
+def geodesic_curvature_numeric(surface: RuledSurface, s):
     """< N x T, T' > with a finite-difference tangent derivative."""
     n = surface.normal(s, 0.0)
     T, Tp = _tangent_arc_derivative(surface, s)
-    return float(np.dot(np.cross(n, T), Tp))
+    return vec_dot(np.cross(n, T), Tp)
 
 
-def normal_curvature_numeric(surface: RuledSurface, s: float) -> float:
+def normal_curvature_numeric(surface: RuledSurface, s):
     """< r'', N > with the second arc-length derivative by finite differences."""
     n = surface.normal(s, 0.0)
     _, Tp = _tangent_arc_derivative(surface, s)
-    return float(np.dot(Tp, n))
+    return vec_dot(Tp, n)
 
 
-def geodesic_torsion_numeric(surface: RuledSurface, s: float) -> float:
+def geodesic_torsion_numeric(surface: RuledSurface, s):
     """< N x N', T' > by finite differences of the v=0 surface normal."""
     n, dn = _normal_arc_derivative(surface, s)
     _, Tp = _tangent_arc_derivative(surface, s)
-    return float(np.dot(np.cross(n, dn), Tp))
+    return vec_dot(np.cross(n, dn), Tp)
 
 
-def curvature_line_residual_numeric(surface: RuledSurface, s: float) -> float:
+def curvature_line_residual_numeric(surface: RuledSurface, s):
     """< N', N x T > by finite differences of the v=0 surface normal."""
     n, dn = _normal_arc_derivative(surface, s)
-    return float(np.dot(dn, np.cross(n, surface.frame(s)[0].T)))
+    return vec_dot(dn, np.cross(n, surface.frame(s)[0].T))
 
 
 # ---------------------------------------------------------------------------
@@ -175,50 +177,33 @@ def base_curve_report(surface: RuledSurface, s_values,
     director is parallel to the tangent and no condition applies.  A director
     that vanishes at every sample raises :class:`ZeroDirector`.
     """
-    samples = []
-    excluded = []
-    max_w = max_x = 0.0
-    for s in s_values:
-        s = float(s)
-        j1, j2, j3 = surface.coefficients(s)
-        x1, x2, x3 = j1.value, j2.value, j3.value
-        w2 = x2 * x2 + x3 * x3
-        max_w = max(max_w, w2)
-        max_x = max(max_x, abs(x1), abs(x2), abs(x3))
-        try:
-            fd, af = surface.frame(s)
-        except GeometryError:
-            excluded.append(s)
-            samples.append(BaseCurveSample(s, *[math.nan] * 3, x1, x2, x3,
-                                           *[math.nan] * 8))
-            continue
-        th = af.theta
-        try:
-            P = surface.distribution_parameter(s)
-        except GeometryError:
-            P = math.nan
-        if w2 <= EPS_REG ** 2:
-            excluded.append(s)
-            samples.append(BaseCurveSample(s, fd.kappa, fd.tau, th, x1, x2, x3,
-                                           P, *[math.nan] * 7))
-            continue
-        samples.append(BaseCurveSample(
-            s, fd.kappa, fd.tau, th, x1, x2, x3, P,
-            geodesic_curvature(x2, x3, th, fd.kappa),
-            normal_curvature(x2, x3, th, fd.kappa),
-            geodesic_torsion(x2, x3, th, fd.kappa),
-            curvature_line_residual_closed(surface, s),
-            *condition_residuals(x2, x3, th)))
-    if samples and max_x <= EPS_REG:
-        raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
+    s = np.asarray(s_values, dtype=float)
+    jets, _, _ = surface._row(s)
+    fd, af = surface.frame(s)
+    # The float path decides where the grid has no jets or no frame.
+    failed = _float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
+                         s, np.column_stack([jets[0].value, af.U]))
+    _director_scale(jets)
+    framed = ~np.isin(np.arange(len(s)), list(failed))
+    x1, x2, x3 = (j.value for j in jets)
+    w2 = x2 * x2 + x3 * x3
+    tangent = framed & (w2 <= EPS_REG ** 2)
+    kappa, th = fd.kappa, af.theta
+    closed = np.where(framed & ~tangent, [
+        geodesic_curvature(x2, x3, th, kappa), normal_curvature(x2, x3, th, kappa),
+        geodesic_torsion(x2, x3, th, kappa), curvature_line_residual_closed(surface, s),
+        *condition_residuals(x2, x3, th)], np.nan)
+    frame_cols = np.where(framed, [kappa, fd.tau, th], np.nan)
+    P = np.where(framed, surface.distribution_parameter(s), np.nan)
+    samples = [BaseCurveSample(*row) for row in np.vstack(
+        [s, frame_cols, x1, x2, x3, P, closed]).T.tolist()]
 
-    parallel_tangent = max_w <= EPS_REG ** 2
-    skip = set(excluded)
+    parallel_tangent = np.fmax.reduce(w2, initial=0.0) <= EPS_REG ** 2
+    used = framed & ~tangent
 
-    def holds(name):  # a NaN residual at a used sample fails the condition
-        vals = [abs(getattr(r, name)) for r in samples if r.s not in skip]
-        return not parallel_tangent and bool(vals) and all(v < tol for v in vals)
+    def holds(res):  # a NaN residual at a used sample fails the condition
+        vals = np.abs(res[used])
+        return not parallel_tangent and vals.size > 0 and bool(np.all(vals < tol))
 
-    return BaseCurveReport(samples, *map(holds, ("res_geodesic", "res_asymptotic",
-                                                 "res_curvature_line", "rho")),
-                           parallel_tangent, tol, excluded)
+    return BaseCurveReport(samples, *map(holds, closed[[4, 5, 6, 3]]),
+                           bool(parallel_tangent), tol, s[~used].tolist())

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import vec_dot, vec_norm
-from .ruled import ClassificationReport, RuledSurface
+from .ruled import (ClassificationReport, RuledSurface, _director_scale,
+                    _float_path)
 
 OBJ_FMT = "%.9g"
 CSV_FMT = "%.12g"
@@ -47,17 +48,21 @@ class Mesh:
 def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     """Uniform-grid tessellation; each quad splits along its shorter diagonal.
 
-    Each s-row takes its points and normals from one ``point``/``normal``
-    call over all v.  A triangle is wound counterclockwise about the mean of
-    its vertices' normals, missing normals left out of the mean.
+    Points and normals are one grid call each; a director that is zero at
+    every grid node raises :class:`ZeroDirector`.  A triangle is wound
+    counterclockwise about the mean of its vertices' normals, missing
+    normals left out of the mean.
     """
     if n_s < 2 or n_v < 2:
         raise ValueError("n_s and n_v must be >= 2")
     sdef = surface.sdef
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
-    verts = np.concatenate([surface.point(s, v_vals) for s in s_vals.tolist()])
-    norms = np.concatenate([surface.normal(s, v_vals) for s in s_vals.tolist()])
+    verts = surface.point(s_vals, v_vals).swapaxes(0, 1)
+    _float_path(lambda s: surface.point(s, v_vals), s_vals, verts, catch=())
+    _director_scale(surface._row(s_vals)[0])
+    verts = verts.reshape(-1, 3)
+    norms = surface.normal(s_vals, v_vals).swapaxes(0, 1).reshape(-1, 3)
 
     grid = np.arange(n_s * n_v).reshape(n_s, n_v)
     a, b = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()

@@ -6,22 +6,24 @@ product-rule numeric path for any policy), the distribution parameter,
 surface points/normals, finite-difference fundamental forms as an
 independent oracle, and the developability / special-case classifier.
 All primed quantities are per unit arc length unless stated otherwise.
+Every per-s method takes a float s or a 1-D grid of s: where a float call
+raises, a grid gives NaN, and each other element equals the float call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, CurveDef, vec_norm
+from .curve import EPS_REG, CurveDef, _guard, _per_sample, vec_dot, vec_norm
 from .errors import (CylindricalPoint, GeometryError,
                      RequiresRotationMinimizingFrame, SingularPoint,
                      TangentRuling, ZeroDirector)
-from .frame import FrameField, ThetaPolicy, frame_derivatives
+from .frame import FrameField, ThetaPolicy, _cos_sin, frame_derivatives
 
 # Finite-difference step for the fundamental-form oracle; fixed for
 # reproducible golden values.
@@ -29,6 +31,78 @@ FD_STEP = 1e-4
 
 TOL_DEV = 1e-7
 TOL_K = 1e-5
+
+# What a float evaluation may raise; a grid gives NaN at such a sample.
+_FAILURES = (GeometryError, ex.ExprError, ArithmeticError)
+
+
+def _widen(x, ok):
+    """Grid data (dataclasses and tuples of arrays) computed at the samples
+    where ``ok`` holds, widened to the whole grid with NaN elsewhere."""
+    if isinstance(x, tuple):
+        return tuple(_widen(v, ok) for v in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_widen(getattr(x, f.name), ok) for f in dataclasses.fields(x)))
+    out = np.full(ok.shape + np.shape(x)[1:], np.nan)
+    out[ok] = x
+    return out
+
+
+def _keyed(fn):
+    """``fn`` of a float or a grid, cached by the float or the grid's values.
+    A grid call that raises is redone at the samples where ``fn`` alone does
+    not raise; the others get NaN."""
+    @functools.lru_cache(maxsize=8192)
+    def cached(key):
+        if not isinstance(key, tuple):
+            return fn(key)
+        s = np.array(key, dtype=float)
+        try:
+            return fn(s)
+        except _FAILURES:
+            ok = ~np.isin(np.arange(len(s)), list(_float_path(
+                fn, s, np.full(len(s), np.nan), _FAILURES)))
+            return _widen(fn(s[ok]), ok)
+
+    def call(s):
+        return cached(tuple(s.tolist()) if isinstance(s, np.ndarray) else float(s))
+    call.cache_info = cached.cache_info
+    return call
+
+
+def _float_path(fn, s: np.ndarray, values, catch=GeometryError) -> dict:
+    """{index: exception class name} where ``fn`` alone raises ``catch``,
+    calling it in order at each sample of ``s`` whose ``values`` hold NaN, so
+    the float path decides there; any other error propagates."""
+    failed = {}
+    bad = np.isnan(values).any(axis=tuple(range(1, np.ndim(values))))
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            fn(float(s[i]))
+        except catch as err:
+            failed[i] = type(err).__name__
+    return failed
+
+
+def _max_abs(a) -> float:
+    """max |a| as Python's ``max`` takes it (NaN counts only if first)."""
+    return max(np.abs(a).tolist())
+
+
+def _director_scale(jets) -> np.ndarray:
+    """max |x_i| per coefficient over a grid, NaN ignored; raises
+    :class:`ZeroDirector` if x1 = x2 = x3 = 0 at every node of the grid."""
+    top = np.fmax.reduce(np.abs([j.value for j in jets]), axis=1, initial=0.0)
+    if jets[0].value.size and top.max() <= EPS_REG:
+        raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
+    return top
+
+
+def _over_xp2(num, xp: np.ndarray, s):
+    """num / |X'|^2, raising CylindricalPoint (NaN on a grid) where |X'| ~ 0."""
+    n2 = vec_dot(xp, xp)
+    return num / _guard(n2, n2 <= EPS_REG ** 2,
+                        lambda: CylindricalPoint(f"|X'|~0 at s={s}"))
 
 
 @dataclass(frozen=True)
@@ -74,7 +148,6 @@ class SurfaceSample:
     f: float
     g: float
     K: float
-    H: float
 
 
 @dataclass(frozen=True)
@@ -99,40 +172,41 @@ class RuledSurface:
     def __init__(self, sdef: RuledSurfaceDef):
         self.sdef = sdef
         self.field = FrameField(sdef.curve, sdef.theta)
-        self._frame_at = functools.lru_cache(maxsize=8192)(self.field.frame_at)
-        self._row = functools.lru_cache(maxsize=8192)(self._director_row)
+        self._frame_at = _keyed(self.field.frame_at)
+        self._row = _keyed(self._director_row)
 
     @property
     def is_rmf(self) -> bool:
         return self.field.is_rmf
 
-    def frame(self, s: float):
-        return self._frame_at(float(s))
+    def frame(self, s):
+        """(FrenetData, AdaptedFrame) at s; on a grid, NaN where a float raises."""
+        return self._frame_at(s)
 
-    def coefficients(self, s: float):
+    def coefficients(self, s):
         d = self.sdef.director
         return (ex.eval_jet(d.x1, s), ex.eval_jet(d.x2, s), ex.eval_jet(d.x3, s))
 
-    def _director_row(self, s: float):
+    def _director_row(self, s):
         """(coefficient jets, X, X' per arc length) at s, cached as ``_row``: the
         one evaluation of X and X'; both read-only, as all callers share them."""
         fd, af = self.frame(s)
-        jets = j1, j2, j3 = self.coefficients(float(s))
-        X = j1.value * fd.T + j2.value * af.U + j3.value * af.V
-        Xp = np.zeros(3)
+        jets = self.coefficients(s)
+        x1, x2, x3 = (_per_sample(j.value) for j in jets)
+        X = x1 * fd.T + x2 * af.U + x3 * af.V
+        Xp = np.zeros(X.shape)
         for j, e_vec, de in zip(jets, (fd.T, af.U, af.V), frame_derivatives(fd, af)):
-            Xp += (j.d1 / fd.speed) * e_vec + j.value * de
+            Xp += _per_sample(j.d1 / fd.speed) * e_vec + _per_sample(j.value) * de
         X.flags.writeable = Xp.flags.writeable = False
         return jets, X, Xp
 
-    def director(self, s: float) -> np.ndarray:
+    def director(self, s) -> np.ndarray:
         """World-space ruling direction X = x1 T + x2 U + x3 V."""
         _, X, _ = self._row(s)
-        if np.linalg.norm(X) <= EPS_REG:
-            raise ZeroDirector(f"|X|~0 at s={s}")
-        return X
+        return _guard(X, _per_sample(vec_norm(X) <= EPS_REG),
+                      lambda: ZeroDirector(f"|X|~0 at s={s}"))
 
-    def director_derivative_closed(self, s: float):
+    def director_derivative_closed(self, s):
         """Frame components of X' per arc length, RMF policy only.
 
         Returns (components, world_vector).  Refused under an explicit theta
@@ -148,71 +222,67 @@ class RuledSurface:
         # coefficient derivatives converted to arc length
         p1, p2, p3 = (j.d1 / fd.speed for j in (j1, j2, j3))
         k = fd.kappa
-        c, sn = math.cos(af.theta), math.sin(af.theta)
-        comps = np.array([
+        c, sn = _cos_sin(af.theta)
+        comps = np.stack([
             p1 - k * x2 * c + k * x3 * sn,
             k * x1 * c + p2,
             p3 - k * x1 * sn,
-        ])
-        world = comps[0] * fd.T + comps[1] * af.U + comps[2] * af.V
-        return comps, world
+        ], axis=-1)
+        c1, c2, c3 = (comps[..., i:i + 1] for i in range(3))
+        return comps, c1 * fd.T + c2 * af.U + c3 * af.V
 
-    def director_derivative_numeric(self, s: float) -> np.ndarray:
+    def director_derivative_numeric(self, s) -> np.ndarray:
         """World-space X' per arc length, valid for any theta policy."""
         return self._row(s)[2]
 
-    def ruling_det(self, s: float) -> float:
-        """det(T, X, X') -- the developability indicator at s."""
+    def ruling_det(self, s):
+        """det(T, X, X') -- the developability indicator at s; on a grid, one
+        batched determinant of the stacked 3x3 matrices."""
         _, X, Xp = self._row(s)
-        return float(np.linalg.det(np.column_stack([self.frame(s)[0].T, X, Xp])))
+        m = np.stack([self.frame(s)[0].T, X, Xp], axis=-1)
+        if m.ndim == 2:
+            return float(np.linalg.det(m))
+        with np.errstate(invalid="ignore"):  # NaN rows, where a float raises
+            return np.linalg.det(m)
 
-    def distribution_parameter(self, s: float) -> float:
+    def distribution_parameter(self, s):
         """det(T, X, X') / |X'|^2; raises at cylindrical points (|X'| ~ 0)."""
-        _, _, Xp = self._row(s)
-        n2 = float(np.dot(Xp, Xp))
-        if n2 <= EPS_REG ** 2:
-            raise CylindricalPoint(f"|X'|~0 at s={s}")
-        return self.ruling_det(s) / n2
+        return _over_xp2(self.ruling_det(s), self._row(s)[2], s)
 
-    def det_numerator_closed(self, s: float) -> float:
+    def det_numerator_closed(self, s):
         """Closed RMF form of det(T, X, X') = x2 X'_V - x3 X'_U, that is
         (x2 x3' - x3 x2') - kappa x1 (x2 sin(theta) + x3 cos(theta))."""
         comps, _ = self.director_derivative_closed(s)
         (_, j2, j3), _, _ = self._row(s)
-        return j2.value * comps[2] - j3.value * comps[1]
+        return j2.value * comps[..., 2] - j3.value * comps[..., 1]
 
-    def distribution_parameter_closed(self, s: float) -> float:
+    def distribution_parameter_closed(self, s):
         """Closed RMF form: det_numerator_closed / |X'|^2."""
-        num = self.det_numerator_closed(s)
         comps, _ = self.director_derivative_closed(s)
-        den = float(np.dot(comps, comps))
-        if den <= EPS_REG ** 2:
-            raise CylindricalPoint(f"|X'|~0 at s={s}")
-        return num / den
+        return _over_xp2(self.det_numerator_closed(s), comps, s)
 
-    def point(self, s: float, v) -> np.ndarray:
-        """r(s) + v X(s); ``v`` a float, or a 1-D array giving one row per v."""
+    def point(self, s, v) -> np.ndarray:
+        """r(s) + v X(s); a 1-D array ``v`` adds a leading axis, one row (or,
+        with a grid s, one grid of rows) per v."""
         return self.frame(s)[0].position + np.multiply.outer(v, self._row(s)[1])
 
-    def partials(self, s: float, v):
-        """Analytic first partials (d/ds in the curve's own parameter); a 1-D
-        array ``v`` gives one row of d/ds per v."""
+    def partials(self, s, v):
+        """Analytic first partials (d/ds in the curve's own parameter); d/ds is
+        shaped as ``point``."""
         fd, _ = self.frame(s)
         _, X, Xp = self._row(s)
-        d_s = fd.speed * fd.T + np.multiply.outer(v, Xp * fd.speed)
+        speed = _per_sample(fd.speed)
+        d_s = speed * fd.T + np.multiply.outer(v, Xp * speed)
         return d_s, X
 
-    def normal(self, s: float, v) -> np.ndarray:
-        """Unit surface normal; oriented as d_s x d_v.
-
-        A float ``v`` raises where the partials degenerate; a 1-D array gives
-        one row per v, NaN where they degenerate.
-        """
+    def normal(self, s, v) -> np.ndarray:
+        """Unit surface normal, oriented as d_s x d_v and shaped as ``point``;
+        floats s and v raise where the partials degenerate, else NaN rows."""
         d_s, d_v = self.partials(s, v)
         n = np.cross(d_s, d_v)
         nn = vec_norm(n)
-        if isinstance(v, np.ndarray):
-            return n / np.where(nn <= EPS_REG, np.nan, nn)[:, None]
+        if isinstance(nn, np.ndarray):
+            return n / np.where(nn <= EPS_REG, np.nan, nn)[..., None]
         if nn <= EPS_REG:
             (_, j2, j3), _, _ = self._row(s)
             if v == 0.0 and j2.value ** 2 + j3.value ** 2 <= EPS_REG ** 2:
@@ -220,7 +290,7 @@ class RuledSurface:
             raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
         return n / nn
 
-    def sample(self, s: float, v: float) -> SurfaceSample:
+    def sample(self, s, v: float) -> SurfaceSample:
         """Finite-difference fundamental forms (independent of the closed forms)."""
         h = FD_STEP
         vs = np.array([v - h, v, v + h])
@@ -231,21 +301,15 @@ class RuledSurface:
         dss = (pss - 2 * p + psm) / h ** 2
         dvv = (pvv - 2 * p + pvm) / h ** 2
         dsv = (ppp - ppm - pmp + pmm) / (4 * h ** 2)
-        E = float(np.dot(d_s, d_s))
-        F = float(np.dot(d_s, d_v))
-        G = float(np.dot(d_v, d_v))
+        E, F, G = vec_dot(d_s, d_s), vec_dot(d_s, d_v), vec_dot(d_v, d_v)
         cr = np.cross(d_s, d_v)
-        ncr = float(np.linalg.norm(cr))
-        if ncr <= EPS_REG:
-            raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
-        n = cr / ncr
-        e = float(np.dot(dss, n))
-        f = float(np.dot(dsv, n))
-        g = float(np.dot(dvv, n))
-        W = E * G - F * F
-        K = (e * g - f * f) / W
-        H = (e * G - 2 * f * F + g * E) / (2 * W)
-        return SurfaceSample(s, v, p, d_s, d_v, n, E, F, G, e, f, g, K, H)
+        ncr = vec_norm(cr)
+        ncr = _guard(ncr, ncr <= EPS_REG,
+                     lambda: SingularPoint(f"degenerate partials at (s={s}, v={v})"))
+        n = cr / _per_sample(ncr)
+        e, f, g = vec_dot(dss, n), vec_dot(dsv, n), vec_dot(dvv, n)
+        K = (e * g - f * f) / (E * G - F * F)
+        return SurfaceSample(s, v, p, d_s, d_v, n, E, F, G, e, f, g, K)
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +344,16 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     """
     sdef = surface.sdef
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
-    dets = []
-    rows = []  # (s, kappa, theta, jets) for residuals
-    skipped = []
-    max_abs = [0.0, 0.0, 0.0]
-    for s in s_vals:
-        s = float(s)
-        jets = surface.coefficients(s)
-        for i, j in enumerate(jets):
-            max_abs[i] = max(max_abs[i], abs(j.value))
-        try:
-            fd, af = surface.frame(s)
-            dets.append(surface.ruling_det(s))
-            rows.append((s, fd.kappa, fd.speed, af.theta, jets))
-        except GeometryError as err:
-            skipped.append((s, type(err).__name__))
-    if max(max_abs) <= EPS_REG:
-        raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
-    if not dets:
+    dets = surface.ruling_det(s_vals)
+    failed = _float_path(lambda s: (surface.coefficients(s), surface.ruling_det(s)),
+                         s_vals, dets)
+    skipped = [(float(s_vals[i]), name) for i, name in failed.items()]
+    jets, _, _ = surface._row(s_vals)
+    max_abs = _director_scale(jets)
+    ok = ~np.isin(np.arange(n_s), list(failed))
+    if not ok.any():
         raise GeometryError("no usable samples on the classification grid")
-    max_det = float(np.max(np.abs(dets)))
+    max_det = float(np.max(np.abs(dets[ok])))
     if max_det < tol_dev:
         verdict = "yes"
     elif max_det > 10.0 * tol_dev:
@@ -307,45 +361,42 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     else:
         verdict = "borderline"
 
-    vanish = [m <= EPS_REG for m in max_abs]
-    tag = _special_case_tag(vanish)
+    tag = _special_case_tag([m <= EPS_REG for m in max_abs])
 
+    fd, af = surface.frame(s_vals)
+    k, sp = fd.kappa[ok], fd.speed[ok]
+    c, sn = _cos_sin(af.theta[ok])
+    (x1, x2, x3), (d2, d3) = ([j.value[ok] for j in jets],
+                              [j.d1[ok] for j in jets[1:]])
     conditions = {}
     notes = []
     if tag in ("span{T,U}", "X=T", "X=U"):
-        res = max(abs(k * jets[0].value * jets[1].value * math.sin(th))
-                  for s, k, sp, th, jets in rows)
-        conditions["max |kappa*x1*x2*sin(theta)|"] = res
-        if max(k for _, k, _, _, _ in rows) <= EPS_REG:
+        conditions["max |kappa*x1*x2*sin(theta)|"] = _max_abs(k * x1 * x2 * sn)
+        if max(k.tolist()) <= EPS_REG:
             notes.append("kappa vanishes on the grid; condition holds trivially")
         if max_abs[0] * max_abs[1] <= EPS_REG:
             notes.append("x1*x2 vanishes on the grid; condition holds trivially")
     if tag in ("span{T,V}", "X=T", "X=V"):
-        res = max(abs(k * jets[0].value * jets[2].value * math.cos(th))
-                  for s, k, sp, th, jets in rows)
-        conditions["max |kappa*x1*x3*cos(theta)|"] = res
+        conditions["max |kappa*x1*x3*cos(theta)|"] = _max_abs(k * x1 * x3 * c)
     if tag in ("span{U,V}", "X=U", "X=V"):
-        res = max(abs(jets[1].value * jets[2].d1 / sp
-                      - jets[2].value * jets[1].d1 / sp)
-                  for s, k, sp, th, jets in rows)
-        conditions["max |x2*x3' - x3*x2'|"] = res
+        conditions["max |x2*x3' - x3*x2'|"] = _max_abs(x2 * d3 / sp - x3 * d2 / sp)
 
     # Gaussian-curvature cross-check on a coarse interior grid.
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
     v_interior = [float(v) for v in v_vals[1:-1]
                   if abs(v) > 1e-3 * (sdef.v_max - sdef.v_min)]
     s_sub = s_vals[:: max(1, n_s // 12)]
-    max_K = 0.0
-    for s in s_sub:
-        for v in v_interior:
-            try:
-                smp = surface.sample(float(s), v)
-            except GeometryError:
-                continue
-            if math.isfinite(smp.K):
-                max_K = max(max_K, abs(smp.K))
-            else:
-                skipped.append((float(s), "NonFiniteK"))
+    K = np.empty((len(s_sub), len(v_interior)))
+    for j, v in enumerate(v_interior):
+        K[:, j] = surface.sample(s_sub, v).K
+    for i, j in np.argwhere(~np.isfinite(K)).tolist():  # the float path decides
+        try:
+            K[i, j] = surface.sample(float(s_sub[i]), v_interior[j]).K
+        except GeometryError:
+            continue
+        if not np.isfinite(K[i, j]):
+            skipped.append((float(s_sub[i]), "NonFiniteK"))
+    max_K = float(np.abs(K[np.isfinite(K)]).max(initial=0.0))
 
     if verdict == "yes" and max_K > tol_K:
         # A "no" with small K is consistent (K scales as det^2); this is not.

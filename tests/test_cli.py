@@ -173,7 +173,7 @@ def test_curvature_free_grid_node_is_excluded(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) != 3
 
 
-@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("command", ["classify", "verify", "surface"])
 def test_zero_director_is_a_geometry_error(tmp_path, capsys, command):
     # example1's own director (s^2, s^2, s) vanishes only at s = 0 and is fine
     doc = json.loads((CONFIGS / "example1.json").read_text())
