@@ -199,16 +199,14 @@ def _s_grid(job: JobConfig):
 
 def cmd_frames(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
-    cols = (["s", "kappa", "tau", "theta"]
-            + [f"{v}_{a}" for v in ("T", "N", "B", "U", "V") for a in "xyz"])
-    lines = [",".join(cols)]
-    for s in _s_grid(job):
-        fd, af = surface.frame(float(s))
-        row = [s, fd.kappa, fd.tau, af.theta]
-        for vec in (fd.T, fd.N, fd.B, af.U, af.V):
-            row.extend(vec)
-        lines.append(",".join(mesh_io.CSV_FMT % x for x in row))
-    write_atomic(out_path, "\n".join(lines) + "\n")
+    cols = ["s", "kappa", "tau", "theta", *(f"{v}_{a}" for v in "TNBUV" for a in "xyz")]
+    grid = _s_grid(job)
+    fd, af = surface.frame(grid)
+    table = np.column_stack([grid, fd.kappa, fd.tau, af.theta,
+                             fd.T, fd.N, fd.B, af.U, af.V])
+    # A NaN row is where a float call raises: the first such raise ends the job.
+    ruled._float_path(surface.frame, grid, table, catch=())
+    write_atomic(out_path, mesh_io.csv_table(cols, table))
     return 0
 
 

@@ -3,7 +3,8 @@
 Output formats: Wavefront OBJ (v/vn/f subset, `//` normal indices), CSV
 per-sample tables (RFC-4180, LF line endings), and a JSON report with a
 ``schema_version`` field.  All numeric formatting is fixed so repeated runs
-produce byte-identical files.
+produce byte-identical files.  OBJ and CSV text is formatted from whole
+arrays, with one fixed ``%``-template per row kind (:func:`format_rows`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,40 +86,38 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     return Mesh(verts, normals, faces, bool(missing.any()), n_s, n_v)
 
 
+def format_rows(row: str, table) -> str:
+    """``row`` (a ``%``-template for one line) repeated for each row of the
+    2-D ``table`` and applied once to its values in row-major order."""
+    table = np.asarray(table)
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def csv_table(columns, table) -> str:
+    """CSV text: the header, then one line of ``CSV_FMT`` values per row."""
+    row = ",".join([CSV_FMT] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + format_rows(row, table)
+
+
 def write_obj(mesh: Mesh) -> str:
     """Deterministic OBJ text; vn/`//` indices only when all normals exist."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %s %s %s" % tuple(OBJ_FMT % x for x in v))
-    with_normals = not mesh.flat_shaded
-    if with_normals:
-        for n in mesh.normals:
-            lines.append("vn %s %s %s" % tuple(OBJ_FMT % x for x in n))
-    for f in mesh.faces:
-        i, j, k = (int(x) + 1 for x in f)
-        if with_normals:
-            lines.append(f"f {i}//{i} {j}//{j} {k}//{k}")
-        else:
-            lines.append(f"f {i} {j} {k}")
-    return "\n".join(lines) + "\n"
+    vec = " ".join([OBJ_FMT] * 3) + "\n"
+    text = format_rows("v " + vec, mesh.vertices)
+    faces = np.asarray(mesh.faces) + 1
+    if mesh.flat_shaded:
+        return text + format_rows("f %d %d %d\n", faces)
+    return (text + format_rows("vn " + vec, mesh.normals)
+            + format_rows("f %d//%d %d//%d %d//%d\n", np.repeat(faces, 2, axis=1)))
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return CSV_FMT % x
-
-
 def samples_to_csv(samples) -> str:
     """CSV table of per-sample base-curve invariants (header always present)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in samples:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = map(operator.attrgetter(*CSV_COLUMNS), samples)
+    return csv_table(CSV_COLUMNS, list(rows))
 
 
 def _jsonable(obj):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmfruled import expr as ex
@@ -130,25 +130,56 @@ def test_print_parse_round_trip(e):
     assert ex.parse(ex.to_string(e)) == e
 
 
+def _central_differences(e, s, h):
+    """Five-point central estimates of (d1, d2, d3) with step h, and the
+    rounding floor eps * max|value| / h^k of each."""
+    v = [ex.eval_jet(e, s + k * h).value for k in (-2, -1, 0, 1, 2)]
+    rounding = [np.finfo(float).eps * max(map(abs, v)) / h ** k for k in (1, 2, 3)]
+    return ((v[3] - v[1]) / (2 * h), (v[3] - 2 * v[2] + v[1]) / h ** 2,
+            (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h ** 3)), rounding
+
+
+_JET_TOLS = (1e-5, 1e-3, 1e-1)  # on d1, d2, d3, relative to the largest
+
+# sqrt(c - s) at 2.5e-4 from its branch point: the differences with h = 1e-4
+# miss d3 by more than the bound, so only the closed form can judge the jet
+_BRANCH_C, _BRANCH_S = 0.594, 0.59375
+_NEAR_BRANCH = ex.Call("sqrt", ex.BinOp("-", ex.Num(_BRANCH_C), ex.Var()))
+
+
 @given(_exprs(), st.floats(min_value=0.3, max_value=2.4))
+@example(_NEAR_BRANCH, _BRANCH_S)
 @settings(max_examples=200)
 def test_jet_matches_finite_differences(e, s):
     h = 1e-4
     try:
-        jets = [ex.eval_jet(e, s + k * h) for k in (-2, -1, 0, 1, 2)]
+        j = ex.eval_jet(e, s)
+        (coarse, rounding), (fine, _) = (_central_differences(e, s, step)
+                                         for step in (h, h / 2))
     except ex.ExprDomainError:
         return
-    vals = [j.value for j in jets]
-    if any(abs(v) > 1e6 for v in vals):
-        return  # steep region: finite differences meaningless
-    j = jets[2]
-    fd1 = (vals[3] - vals[1]) / (2 * h)
-    fd2 = (vals[3] - 2 * vals[2] + vals[1]) / h ** 2
-    fd3 = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h ** 3)
+    # The oracle's own error at h: truncation, by Richardson (the h and h/2
+    # estimates differ by about 3/4 of it), plus rounding.  Where that is not
+    # below half the tolerance on the oracle's own scale, or not finite, the
+    # differences have not converged and cannot judge the jet.
+    own = max(1.0, *map(abs, fine))
+    if not (math.isfinite(own) and all(
+            abs(c - f) + r <= tol * own / 2
+            for c, f, r, tol in zip(coarse, fine, rounding, _JET_TOLS))):
+        return
     scale = max(1.0, abs(j.d1), abs(j.d2), abs(j.d3))
-    assert abs(j.d1 - fd1) < 1e-5 * scale
-    assert abs(j.d2 - fd2) < 1e-3 * scale
-    assert abs(j.d3 - fd3) < 1e-1 * scale
+    for got, want, tol in zip((j.d1, j.d2, j.d3), coarse, _JET_TOLS):
+        assert abs(got - want) < tol * scale
+
+
+def test_jet_near_branch_point_matches_closed_form():
+    j = ex.eval_jet(_NEAR_BRANCH, _BRANCH_S)
+    r = _BRANCH_C - _BRANCH_S
+    closed = (r ** 0.5, -0.5 * r ** -0.5, -0.25 * r ** -1.5, -0.375 * r ** -2.5)
+    scale = max(1.0, *map(abs, closed[1:]))
+    assert j.value == pytest.approx(closed[0], rel=1e-15)
+    for got, want, tol in zip((j.d1, j.d2, j.d3), closed[1:], _JET_TOLS):
+        assert abs(got - want) < tol * scale
 
 
 # ---------------------------------------------------------------------------

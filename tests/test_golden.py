@@ -6,6 +6,8 @@ RMF, whose curvature vanishes at the grid node s = 0: `classify` (as JSON,
 which holds the sample table too) and `verify` exclude that node, `frames`
 and `surface` stop with exit 3.  Each case records the exit code, the
 stderr text and the digest of the output file (null when none is written).
+``frames`` and ``surface`` also run on each bundled config at ``--samples
+401`` (cases ``frames@401:...`` and ``surface@401:...``).
 
 The digests live in ``golden_digests.json``.  Regenerate them, only for a
 change that is meant to alter an output, with
@@ -37,6 +39,9 @@ def _cases():
     for cmd in COMMANDS:
         fmt = ["--format", "json"] if cmd == "classify" else []
         cases[f"{cmd}:flat_node"] = (cmd, None, fmt)
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        for cmd in ("frames", "surface"):
+            cases[f"{cmd}@401:{cfg.name}"] = (cmd, cfg.name, ["--samples", "401"])
     return cases
 
 

@@ -1,16 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import CONFIGS, make_surface
-from rmfruled.cli import load_config
+from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
-from rmfruled.invariants import base_curve_report
-from rmfruled.mesh_io import (Mesh, samples_to_csv, tessellate, write_obj,
-                              write_report)
+from rmfruled.invariants import BaseCurveSample, base_curve_report
+from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, samples_to_csv, tessellate,
+                              write_obj, write_report)
 from rmfruled.ruled import RuledSurface, classify
 
 
@@ -138,9 +139,12 @@ def _reference_faces(verts, normals, n_s, n_v):
     return np.array(faces, dtype=int)
 
 
+CONFIG_NAMES = ("example1", "example2", "planar_cos_zero", "planar_sin_zero",
+                "proportional_normal_coeffs", "tangent_ruling")
+
+
 def _surfaces():
-    for name in ("example1", "example2", "planar_cos_zero", "planar_sin_zero",
-                 "proportional_normal_coeffs", "tangent_ruling"):
+    for name in CONFIG_NAMES:
         yield name, lambda name=name: RuledSurface(
             load_config(str(CONFIGS / f"{name}.json")).surface)
     # the base curve's normal is missing at s = 0, next to triangles that the
@@ -172,6 +176,77 @@ def test_rows_equal_per_vertex_evaluation(build):
     assert mesh.flat_shaded == any(n is None for n in mesh.normals)
     assert np.array_equal(mesh.faces,
                           _reference_faces(mesh.vertices, mesh.normals, n_s, n_v))
+
+
+def _reference_obj(mesh):
+    """Per-value loop: one ``%`` call per coordinate and one f-string per face."""
+    lines = []
+    for v in mesh.vertices:
+        lines.append("v %s %s %s" % tuple("%.9g" % x for x in v))
+    if not mesh.flat_shaded:
+        for n in mesh.normals:
+            lines.append("vn %s %s %s" % tuple("%.9g" % x for x in n))
+    for f in mesh.faces:
+        i, j, k = (int(x) + 1 for x in f)
+        if mesh.flat_shaded:
+            lines.append(f"f {i} {j} {k}")
+        else:
+            lines.append(f"f {i}//{i} {j}//{j} {k}//{k}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_frames(surface, n_s):
+    """Per-s loop: one float ``frame`` call and one ``%`` call per value."""
+    curve = surface.sdef.curve
+    cols = (["s", "kappa", "tau", "theta"]
+            + [f"{v}_{a}" for v in ("T", "N", "B", "U", "V") for a in "xyz"])
+    lines = [",".join(cols)]
+    for s in np.linspace(curve.t_min, curve.t_max, n_s):
+        fd, af = surface.frame(float(s))
+        row = [s, fd.kappa, fd.tau, af.theta]
+        for vec in (fd.T, fd.N, fd.B, af.U, af.V):
+            row.extend(vec)
+        lines.append(",".join("%.12g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_s,n_v", [(101, 11), (401, 41)])
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_obj_text_equals_per_value_reference(name, n_s, n_v):
+    surface = RuledSurface(load_config(str(CONFIGS / f"{name}.json")).surface)
+    mesh = tessellate(surface, n_s, n_v)
+    assert write_obj(mesh) == _reference_obj(mesh)
+
+
+@pytest.mark.parametrize("n_s", [101, 401])
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_frames_text_equals_per_s_reference(tmp_path, name, n_s):
+    cfg, out = CONFIGS / f"{name}.json", tmp_path / "frames.csv"
+    assert main(["frames", "--config", str(cfg), "--out", str(out),
+                 "--samples", str(n_s)]) == 0
+    surface = RuledSurface(load_config(str(cfg)).surface)
+    assert out.read_text() == _reference_frames(surface, n_s)
+
+
+def _hand_built_mesh(flat_shaded):
+    big = 2 ** 31 + 7
+    vertices = np.array([[-0.0, 5e-324, 1e300], [123456789.5, -1e-300, 0.1],
+                         [np.pi, -2.5, 1e16 + 2.0]])
+    normals = ([None, None, None] if flat_shaded else
+               [np.array([-0.0, 1.0, 0.0]), np.array([0.6, -0.8, 5e-324]),
+                np.array([1e-300, 0.0, -1.0])])
+    faces = np.array([[0, 1, 2], [big, big + 1, 2 ** 40], [2, 0, 1]])
+    return Mesh(vertices, normals, faces, flat_shaded, 0, 0)
+
+
+@pytest.mark.parametrize("flat_shaded", [False, True])
+def test_obj_text_of_hand_built_mesh_equals_reference(flat_shaded):
+    mesh = _hand_built_mesh(flat_shaded)
+    text = write_obj(mesh)
+    assert text == _reference_obj(mesh)
+    assert "v -0 4.94065646e-324 1e+300\n" in text
+    assert "v 123456790 " in text  # the tie at 9 digits goes to even
+    assert f"f {2 ** 31 + 8}" in text
 
 
 def test_tangent_ruling_mesh_is_flat_shaded_obj():
@@ -213,6 +288,19 @@ def test_csv_empty_grid_header_only(helix):
     assert text == samples_to_csv([])
     assert text.splitlines()[0].startswith("s,kappa,tau")
     assert len(text.splitlines()) == 1
+
+
+def test_csv_equals_per_value_reference(geodesic_example):
+    rows = base_curve_report(geodesic_example, np.linspace(-5, 5, 21)).samples
+    rows.append(BaseCurveSample(-0.0, float("nan"), -float("nan"), 5e-324, 1e300,
+                                123456789.5, *[float(k) for k in range(9)]))
+    def fmt(x):  # the retired per-value formatter, NaN branch included
+        return "nan" if isinstance(x, float) and math.isnan(x) else "%.12g" % x
+    reference = [",".join(CSV_COLUMNS)] + [
+        ",".join(fmt(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
+    text = samples_to_csv(rows)
+    assert text == "\n".join(reference) + "\n"
+    assert text.splitlines()[-1].startswith("-0,nan,nan,4.94065645841e-324,1e+300,")
 
 
 def test_json_report_schema(rmf_polynomial):
