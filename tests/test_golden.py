@@ -7,7 +7,10 @@ which holds the sample table too) and `verify` exclude that node, `frames`
 and `surface` stop with exit 3.  Each case records the exit code, the
 stderr text and the digest of the output file (null when none is written).
 ``frames`` and ``surface`` also run on each bundled config at ``--samples
-401`` (cases ``frames@401:...`` and ``surface@401:...``).
+401`` (cases ``frames@401:...`` and ``surface@401:...``), and so do
+``classify`` and ``verify`` with ``--format json`` (``classify@401:...``,
+``verify@401:...``), which pin the stacked oracle and K-stencil grids away
+from the configs' own n_s.
 
 The digests live in ``golden_digests.json``.  Regenerate them, only for a
 change that is meant to alter an output, with
@@ -42,6 +45,9 @@ def _cases():
     for cfg in sorted(CONFIGS.glob("*.json")):
         for cmd in ("frames", "surface"):
             cases[f"{cmd}@401:{cfg.name}"] = (cmd, cfg.name, ["--samples", "401"])
+        for cmd in ("classify", "verify"):
+            cases[f"{cmd}@401:{cfg.name}"] = (cmd, cfg.name, ["--samples", "401",
+                                                              "--format", "json"])
     return cases
 
 
