@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -303,7 +304,9 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     p = argparse.ArgumentParser(
         prog="rmfruled",
         description="Ruled surfaces from adapted frames: invariants, "

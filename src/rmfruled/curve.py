@@ -11,7 +11,9 @@ rule d/ds = (1/|r'|) d/dt, never by numeric reparametrization.
 Curve evaluation, tangents and Frenet data take a float or a 1-D grid of
 parameters.  On a grid every vector gains a leading sample axis, and a
 curvature-free sample gets NaN N, B and tau instead of raising
-:class:`VanishingCurvature`.
+:class:`VanishingCurvature`.  A speed |r'| above ``MAX_SPEED`` is out of the
+float range of the formulas, not a degenerate point: float and grid alike
+raise ``FloatingPointError`` there, which no caller counts as a skipped sample.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ EPS_REG = 1e-9
 # Evaluation slack beyond [t_min, t_max]; finite-difference oracles step
 # up to 1e-4 past the endpoints.
 RANGE_SLACK = 1e-3
+
+# Largest |r'| whose cube, the denominator of kappa, is a finite float
+# (about 5.64e102).
+MAX_SPEED = float.fromhex("0x1.428a2f98d728ap+341")
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,10 @@ def frenet(c: CurveDef, t) -> FrenetData:
     undefined; on a grid, curvature-free samples get NaN N, B and tau."""
     pos, d1, d2, d3 = eval_curve(c, t)
     T, speed = _unit_tangent(d1, t)
+    fast = _first(speed > MAX_SPEED, t)
+    if fast is not None:
+        raise FloatingPointError(f"|r'|^3 overflows: |r'|="
+                                 f"{np.ravel(speed)[fast[0]]:.3e} at t={fast[1]}")
     cr = np.cross(d1, d2)
     ncr = vec_norm(cr)
     kappa = ncr / ex.power(speed, 3)

@@ -132,9 +132,10 @@ def _reciprocal(g: Jet3) -> Jet3:
 
 # ---------------------------------------------------------------------------
 # primitives: a float goes to ``math``; an array goes to a numpy ufunc where
-# that rounds like ``math`` (sin, cos, sqrt), and otherwise through ``math``
-# element by element (numpy's tan, arctan, exp, log and power differ from it
-# in the last ulp), so grid and per-point evaluation agree bit for bit.
+# that rounds like ``math`` (sin, cos, sqrt, and ``np.float_power`` for
+# ``**``), and otherwise through ``math`` element by element (numpy's tan,
+# arctan, exp and log differ from it in the last ulp), so grid and per-point
+# evaluation agree bit for bit.
 
 _UFUNCS = {math.sin: np.sin, math.cos: np.cos, math.sqrt: np.sqrt}
 
@@ -151,9 +152,11 @@ def _apply(fn, x):
 
 
 def power(x, p: float):
-    """``x ** p`` with the rounding of a float power, elementwise on an array."""
+    """``x ** p`` with the rounding of a float power, elementwise on an array.
+    Where the float power raises (overflow, or zero to a negative power), the
+    array element is +-inf and numpy's floating-point error state applies."""
     if isinstance(x, np.ndarray):
-        return np.array([v ** p for v in x.tolist()])
+        return np.float_power(x, p)
     return x ** p
 
 

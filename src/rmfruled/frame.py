@@ -129,16 +129,18 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
     The rate does not depend on theta, so each grid interval is one Simpson
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum; intervals where the curvature vanishes are bridged by
-    double reflection.  Returns theta aligned with the grid, kept unwrapped.
-    ``node_rates``, if given, receives the rates at the nodes (NaN if flat).
+    double reflection.  The rates come from one Frenet call on the nodes
+    stacked on the midpoints.  Returns theta aligned with the grid, kept
+    unwrapped.  ``node_rates``, if given, receives the rates at the nodes
+    (NaN if flat).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two parameter values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    rates = _theta_rate(frenet(c, grid))
-    mids = _theta_rate(frenet(c, 0.5 * (grid[:-1] + grid[1:])))
+    both = _theta_rate(frenet(c, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])))
+    rates, mids = both[:len(grid)], both[len(grid):]
     steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
     if node_rates is not None:
         node_rates[:] = rates
@@ -219,10 +221,11 @@ class FrameField:
     """Adapted frame evaluable at arbitrary parameters.
 
     For the RMF policy, theta is tabulated on a uniform node grid once, one
-    Simpson panel per cell, and queried by one more panel from the nearest
-    node below, which keeps theta(t) smooth within machine accuracy (the
-    starting node value is shared by both sides of every node).  A grid of
-    queries takes its midpoint rates from one grid Frenet call.
+    Simpson panel per cell (:func:`theta_rmf`), and queried by one more panel
+    from the nearest node below, which keeps theta(t) smooth within machine
+    accuracy (the starting node value is shared by both sides of every node).
+    A grid of queries and the midpoints of its panels take one Frenet call
+    together (:meth:`frame_at`).
     """
 
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
@@ -242,17 +245,24 @@ class FrameField:
     def is_rmf(self) -> bool:
         return isinstance(self.policy, RotationMinimizing)
 
-    def theta_at(self, t, fd: FrenetData):
+    def _panel(self, t):
+        """(index, parameter) of the table node that starts the panel of t."""
+        k = np.clip((t - self.curve.t_min) // self._h, 0,
+                    len(self._nodes) - 2).astype(int)
+        return k, self._nodes[k]
+
+    def theta_at(self, t, fd: FrenetData, mid=None):
         """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
-        ``fd``; only samples with a frame but a NaN panel are bridged."""
+        ``fd``; only samples with a frame but a NaN panel are bridged.  ``mid``
+        holds the rates at the panel midpoints if the caller has them."""
         if isinstance(self.policy, ExplicitTheta):
             j = ex.eval_jet(self.policy.theta, t)
             return j.value, j.d1
         rate = _theta_rate(fd)
-        k = np.clip((t - self.curve.t_min) // self._h, 0,
-                    len(self._nodes) - 2).astype(int)
-        t0, th0 = self._nodes[k], self._thetas[k]
-        mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))  # NaN if flat
+        k, t0 = self._panel(t)
+        th0 = self._thetas[k]
+        if mid is None:  # NaN if flat
+            mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))
         step = (t - t0) * (self._rates[k] + 4.0 * mid + rate) / 6.0
         theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
         for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
@@ -266,7 +276,15 @@ class FrameField:
         return frenet(self.curve, t)
 
     def frame_at(self, t):
-        """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where kappa = 0."""
-        fd = self.frenet_at(t)
-        theta, theta_prime = self.theta_at(t, fd)
+        """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where
+        kappa = 0.  Under the RMF a grid is stacked on its panel midpoints for
+        one Frenet call."""
+        if self.is_rmf and isinstance(t, np.ndarray):
+            n = len(t)
+            both = self.frenet_at(np.concatenate([t, 0.5 * (self._panel(t)[1] + t)]))
+            fd = FrenetData(*(field[:n] for field in vars(both).values()))
+            mid = _theta_rate(both)[n:]
+        else:
+            fd, mid = self.frenet_at(t), None
+        theta, theta_prime = self.theta_at(t, fd, mid)
         return fd, adapted_frame(fd, theta, theta_prime)

@@ -26,7 +26,7 @@ from . import expr as ex
 from .curve import EPS_REG, _guard, _per_sample, vec_dot
 from .errors import TangentRuling
 from .frame import _cos_sin, frame_angular_velocity
-from .ruled import FD_STEP, RuledSurface, _director_scale, _float_path
+from .ruled import FD_STEP, RuledSurface, _director_scale, _float_path, _stacked
 
 # Closed-form residuals are exact identities; finite-difference-backed
 # checks live in a separate error regime.
@@ -91,10 +91,14 @@ def curvature_line_residual_closed(surface: RuledSurface, s):
 
 
 def _arc_derivative(surface: RuledSurface, s, f):
-    """(f(s), d f/ds per arc length) by a central difference of step FD_STEP."""
+    """(f(s), d f/ds per arc length) by a central difference of step FD_STEP.
+    A grid s evaluates ``f`` once on the stacked grid [s + h; s - h], which all
+    four oracles share, with its frame and director row."""
     h = FD_STEP
     speed = _per_sample(surface.frame(s)[0].speed)
-    return f(s), (f(s + h) - f(s - h)) / (2 * h) / speed
+    at_s = f(s)
+    ahead, behind = _stacked(f, (s + h, s - h))
+    return at_s, (ahead - behind) / (2 * h) / speed
 
 
 def _tangent_arc_derivative(surface: RuledSurface, s):

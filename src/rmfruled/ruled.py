@@ -70,6 +70,15 @@ def _keyed(fn):
     return call
 
 
+def _stacked(fn, grids, axis=0) -> list:
+    """``[fn(g) for g in grids]``, from one call of ``fn`` on the grids stacked
+    end to end and split back along ``axis``; floats take one call each, in
+    order, so that each can raise."""
+    if not isinstance(grids[0], np.ndarray):
+        return [fn(g) for g in grids]
+    return np.split(fn(np.concatenate(grids)), len(grids), axis=axis)
+
+
 def _float_path(fn, s: np.ndarray, values, catch=GeometryError) -> dict:
     """{index: exception class name} where ``fn`` alone raises ``catch``,
     calling it in order at each sample of ``s`` whose ``values`` hold NaN, so
@@ -291,11 +300,13 @@ class RuledSurface:
         return n / nn
 
     def sample(self, s, v: float) -> SurfaceSample:
-        """Finite-difference fundamental forms (independent of the closed forms)."""
+        """Finite-difference fundamental forms (independent of the closed forms).
+        The 3x3 stencil of a grid s is one ``point`` call on the stacked grid
+        [s - h; s; s + h], the same grid for every v."""
         h = FD_STEP
         vs = np.array([v - h, v, v + h])
-        (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = (
-            self.point(t, vs) for t in (s - h, s, s + h))
+        (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = _stacked(
+            lambda t: self.point(t, vs), (s - h, s, s + h), axis=1)
         d_s = (pss - psm) / (2 * h)
         d_v = (pvv - pvm) / (2 * h)
         dss = (pss - 2 * p + psm) / h ** 2

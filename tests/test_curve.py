@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rmfruled.curve import (CurveDef, eval_curve, frenet, tangent_data,
-                            validate_regular)
+from rmfruled.curve import (MAX_SPEED, CurveDef, eval_curve, frenet,
+                            tangent_data, validate_regular)
 from rmfruled.errors import (DegenerateTangent, ParameterOutOfRange,
                              VanishingCurvature)
 
@@ -155,3 +155,24 @@ def test_grid_degenerate_tangent_and_range_raise():
         frenet(c, np.linspace(-1, 1, 5))
     with pytest.raises(ParameterOutOfRange, match="t=2.0"):
         tangent_data(c, np.array([0.5, 2.0, 3.0]))
+
+
+def test_max_speed_is_the_last_speed_whose_cube_is_finite():
+    assert np.isfinite(MAX_SPEED ** 3)
+    with pytest.raises(OverflowError):
+        np.nextafter(MAX_SPEED, np.inf).item() ** 3
+
+
+@pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 5)], ids=["float", "grid"])
+def test_speed_past_max_speed_raises_on_float_and_grid(t):
+    c = CurveDef.from_strings("1e110*s", "cos(s)", "sin(s)", 0, 1)
+    at = 0.5 if isinstance(t, float) else 0.0
+    with pytest.raises(FloatingPointError, match=rf"\|r'\|=1.000e\+110 at t={at}$"):
+        frenet(c, t)
+    # just below MAX_SPEED kappa is formed, and it is 4e-206
+    slow = CurveDef.from_strings("5e102*s", "cos(s)", "sin(s)", 0, 1)
+    if isinstance(t, float):
+        with pytest.raises(VanishingCurvature):
+            frenet(slow, t)
+    else:
+        assert np.all(np.isnan(frenet(slow, t).N))

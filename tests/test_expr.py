@@ -238,3 +238,26 @@ def test_grid_domain_error_on_some_nodes(text, lo, hi):
     grid = np.linspace(lo, hi, 11)
     with pytest.raises(ex.ExprDomainError):
         ex.eval_jet(text, grid)
+
+
+_BASES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, 0.5, 1.7e308, -1.7e308, 1e103, 1e155],
+    np.random.default_rng(11).choice([-1.0, 1.0], 4000)
+    * 10.0 ** np.random.default_rng(12).uniform(-324.0, 308.2, 4000),
+])
+
+
+@pytest.mark.parametrize("p", [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
+                               0.5, -0.5, 1.5, 2.5, 1 / 3, -2.75, 3.7])
+def test_power_on_an_array_rounds_as_float_power(p):
+    # a negative base takes only integer exponents (the DSL refuses the rest)
+    bases = _BASES if p == round(p) else np.abs(_BASES)
+    with np.errstate(all="ignore"):
+        got = ex.power(bases, p)
+    for x, g in zip(bases.tolist(), got.tolist()):
+        try:
+            want = x ** p
+        except (OverflowError, ZeroDivisionError):  # numpy gives inf instead
+            assert math.isinf(g), (x, p)
+            continue
+        assert np.float64(g).tobytes() == np.float64(want).tobytes(), (x, p)

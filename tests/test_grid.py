@@ -6,16 +6,20 @@ call bit for bit, and be NaN exactly where the float call raises.  Three more
 surfaces cover failing samples: the curve (s, s^3, s^4), whose curvature
 vanishes at the node s = 0 (the RMF bridges it); a cusp whose tangent
 vanishes there (the grid Frenet call raises, so the grid is redone sample by
-sample); and a director 1/s, whose grid evaluation raises at s = 0.
+sample); and a director 1/s, whose grid evaluation raises at s = 0.  A grid
+stacked from two grids must give what the two give apart, and one ``verify``
+or ``surface`` run makes a pinned number of curve passes.
 """
 
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import CONFIGS, make_surface
-from rmfruled import expr, ruled
+from rmfruled import curve, expr, ruled
 from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import DegenerateTangent, VanishingCurvature
@@ -94,6 +98,61 @@ def test_grid_equals_float_path(name, shift):
               [_float_or_none(float_surf.det_numerator_closed, t) for t in ts])
 
 
+def _fields(x):
+    return [getattr(x, f.name) for f in dataclasses.fields(x)]
+
+
+def _concat(x, y, axis=0):
+    """Grid results of two calls joined as one call on the joined grids gives
+    them: arrays along the sample ``axis``, dataclasses and tuples field by
+    field, floats (a sample's v) kept when equal."""
+    if isinstance(x, tuple):
+        return tuple(_concat(a, b, axis) for a, b in zip(x, y))
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_concat(a, b, axis) for a, b in zip(_fields(x), _fields(y))))
+    if isinstance(x, np.ndarray):
+        return np.concatenate([x, y], axis=axis)
+    assert x == y
+    return x
+
+
+def _bytes(x):
+    if isinstance(x, tuple):
+        return [_bytes(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return [_bytes(v) for v in _fields(x)]
+    return np.asarray(x).tobytes()
+
+
+STACKED = {
+    "rmf": (SURFACES["proportional_normal_coeffs"][0], 0.5, 5.0),
+    "explicit": (SURFACES["example1"][0], -5.0, 5.0),
+    "flat_node": (SURFACES["flat_node"][0], -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_stacked_grids_equal_separate_calls(name):
+    # frames and the FD oracles stack the queries on their panel midpoints
+    # or on s +- h; each grid must come out as it does alone
+    make, lo, hi = STACKED[name]
+    a = np.linspace(lo, hi, 41)  # holds 0, the flat node, on (s, s^3, s^4)
+    b = np.linspace(lo, hi, 23)[1:-1] + FD_STEP
+    v_vals = np.linspace(-1.0, 1.0, 5)
+    calls = {"frame": lambda sf, t: sf.frame(t),
+             "_row": lambda sf, t: sf._row(t),
+             "normal": lambda sf, t: sf.normal(t, v_vals),
+             "sample": lambda sf, t: sf.sample(t, 0.3)}
+    for what, call in calls.items():
+        axis = 1 if what == "normal" else 0
+        apart = _concat(call(make(), a), call(make(), b), axis)
+        assert _bytes(call(make(), np.concatenate([a, b]))) == _bytes(apart), what
+    if name == "flat_node":
+        fd, af = make().frame(np.concatenate([a, b]))
+        assert np.isnan(af.U[20]).all() and np.isnan(fd.N[20]).all()
+        assert np.isfinite(np.delete(af.U, 20, 0)).all()
+
+
 def test_failing_samples_take_the_float_exception_class():
     flat, _ = SURFACES["flat_node"]
     surf = flat()
@@ -159,3 +218,38 @@ def test_verify_work_does_not_grow_with_the_grid(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "v.json"), "--samples", str(n_s)]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Calls of ``module.name``, counted through every rmfruled module that
+    binds the function (``frame`` imports ``frenet`` by name)."""
+    calls, orig = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rmfruled":
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command,cfg,jets,frenets", [
+    ("verify", "proportional_normal_coeffs.json", 21, 4),
+    ("surface", "proportional_normal_coeffs.json", 9, 2),
+    ("surface", "example1.json", 7, 1),
+])
+def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets):
+    # One Frenet call (three curve jets) per grid: under the RMF the angle
+    # table on its nodes and midpoints, then the s-grid with its panel
+    # midpoints; verify adds s +- h for the oracles and [s - h; s; s + h] for
+    # the K stencil.  Each grid but the table also takes three director jets,
+    # and an explicit theta one jet of its own.
+    jet_calls = _count_calls(monkeypatch, expr, "eval_jet")
+    frenet_calls = _count_calls(monkeypatch, curve, "frenet")
+    assert main([command, "--config", str(CONFIGS / cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (len(jet_calls), len(frenet_calls)) == (jets, frenets)
