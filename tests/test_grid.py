@@ -103,9 +103,9 @@ def _fields(x):
 
 
 def _concat(x, y, axis=0):
-    """Grid results of two calls joined as one call on the joined grids gives
-    them: arrays along the sample ``axis``, dataclasses and tuples field by
-    field, floats (a sample's v) kept when equal."""
+    """The results of two grid calls, joined in the shape that one call on the
+    joined grids returns: arrays along the sample ``axis``, dataclasses and
+    tuples field by field, and equal floats (a sample's v) kept as they are."""
     if isinstance(x, tuple):
         return tuple(_concat(a, b, axis) for a, b in zip(x, y))
     if dataclasses.is_dataclass(x):
