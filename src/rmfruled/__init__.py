@@ -2,6 +2,14 @@
 curve: closed-form invariants, developability classification, and numerical
 cross-validation oracles."""
 
+import os
+
+# Before numpy loads: the only BLAS and LAPACK work here is on 3-vectors and
+# 3x3 matrices, where OpenBLAS's thread pool gains nothing, and starting it
+# took about 60 ms of a 165 ms numpy import on two cores.  A value the caller
+# set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .curve import CurveDef, FrenetData, eval_curve, frenet, validate_regular
 from .expr import Jet3, eval_jet, parse, to_string
 from .frame import (AdaptedFrame, ExplicitTheta, FrameField, RotationMinimizing,

@@ -18,7 +18,6 @@ across repeated runs of the same config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -26,7 +25,6 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from . import invariants, mesh_io, ruled
 from .curve import CurveDef
 from .errors import GeometryError
 from .frame import ExplicitTheta, RotationMinimizing
+from .record import Record, fields
 from .ruled import DirectorField, RuledSurface, RuledSurfaceDef
 
 
@@ -45,18 +44,13 @@ class ConfigError(Exception):
 MAX_GRID_POINTS = 10 ** 6  # n_s * n_v; minutes of per-point work already
 
 
-@dataclass
-class JobConfig:
-    surface: RuledSurfaceDef
-    n_s: int
-    n_v: int
-    tol_dev: float
-    tol_inv: float
-    tol_K: float
-    mesh_path: str | None
-    report_path: str | None
-    fmt: str
-    expect: dict
+class JobConfig(Record):
+    """A loaded config; the command line overrides fields in place."""
+
+    __slots__ = ("surface", "n_s", "n_v", "tol_dev", "tol_inv", "tol_K",
+                 "mesh_path", "report_path", "fmt", "expect")
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
 
 def _require(doc: dict, key: str, where: str):
@@ -223,7 +217,7 @@ def cmd_classify(job: JobConfig, out_path: str) -> int:
     report = ruled.classify(surface, job.n_s, job.n_v,
                             tol_dev=job.tol_dev, tol_K=job.tol_K)
     bc = invariants.base_curve_report(surface, _s_grid(job), tol=job.tol_inv)
-    report = dataclasses.replace(report, base_curve=bc)
+    report = ruled.ClassificationReport(**{**fields(report), "base_curve": bc})
     write_atomic(out_path, mesh_io.write_report(report, bc.samples, job.fmt))
     return 0
 

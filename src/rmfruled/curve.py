@@ -19,12 +19,12 @@ raise ``FloatingPointError`` there, which no caller counts as a skipped sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateTangent, ParameterOutOfRange, VanishingCurvature
+from .record import Record
 
 # Absolute regularity threshold, assuming O(1)-scaled geometry.
 EPS_REG = 1e-9
@@ -38,17 +38,14 @@ RANGE_SLACK = 1e-3
 MAX_SPEED = float.fromhex("0x1.428a2f98d728ap+341")
 
 
-@dataclass(frozen=True)
-class CurveDef:
-    """Expression-defined space curve r(t) on [t_min, t_max]."""
+class CurveDef(Record):
+    """Expression-defined space curve r(t) on [t_min, t_max]: three
+    :data:`expr.Expr` trees and two floats."""
 
-    x: ex.Expr
-    y: ex.Expr
-    z: ex.Expr
-    t_min: float
-    t_max: float
+    __slots__ = ("x", "y", "z", "t_min", "t_max")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be < t_max")
 
@@ -58,28 +55,23 @@ class CurveDef:
                         float(t_min), float(t_max))
 
 
-@dataclass(frozen=True)
-class FrenetData:
-    """Pointwise Frenet apparatus: position, orthonormal {T, N, B}, kappa, tau.
+class FrenetData(Record):
+    """Pointwise Frenet apparatus: position, orthonormal {T, N, B} (3-vectors),
+    kappa and tau (floats).
 
     ``speed`` is |r'| in the curve's own parameter.  From a grid, each field
     holds one row (vectors) or element (scalars) per sample.
     """
 
-    position: np.ndarray
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
-    kappa: float
-    tau: float
-    speed: float
+    __slots__ = ("position", "T", "N", "B", "kappa", "tau", "speed")
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    n_samples: int
-    speed_violations: list = field(default_factory=list)  # t values with |r'| <= eps
-    curvature_violations: list = field(default_factory=list)  # t with kappa <= eps
+class RegularityReport(Record):
+    """Sample count, and the t values with |r'| <= eps (``speed_violations``)
+    and with kappa <= eps (``curvature_violations``)."""
+
+    __slots__ = ("n_samples", "speed_violations", "curvature_violations")
+    _defaults = {"speed_violations": (), "curvature_violations": ()}
 
     @property
     def usable_for_frenet(self) -> bool:
@@ -136,6 +128,15 @@ def vec_norm(vecs: np.ndarray):
     return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
 
 
+def vec_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product along the last axis, broadcast as ``np.cross`` and
+    rounded as it is: each component is the difference of two rounded
+    products, in numpy's order."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _per_sample(x):
     """A float, or a 1-D array shaped to scale one 3-vector row per element."""
     return x[:, None] if isinstance(x, np.ndarray) else x
@@ -151,7 +152,18 @@ def _guard(value, bad, error):
     return value
 
 
+def _check_speed(too_fast, d1: np.ndarray, t):
+    """Raise FloatingPointError at the first sample where ``too_fast`` holds,
+    giving |r'| there by ``math.hypot``, which does not overflow."""
+    fast = _first(too_fast, t)
+    if fast is not None:
+        speed = math.hypot(*np.reshape(d1, (-1, 3))[fast[0]].tolist())
+        raise FloatingPointError(f"|r'|^3 overflows: |r'|={speed:.3e} at t={fast[1]}")
+
+
 def _unit_tangent(d1: np.ndarray, t):
+    # |r'|^2 overflows from about 1.3e154: check the largest component first.
+    _check_speed(np.max(np.abs(d1), axis=-1) > MAX_SPEED, d1, t)
     speed = vec_norm(d1)
     bad = _first(speed <= EPS_REG, t)
     if bad is not None:
@@ -164,17 +176,14 @@ def frenet(c: CurveDef, t) -> FrenetData:
     undefined; on a grid, curvature-free samples get NaN N, B and tau."""
     pos, d1, d2, d3 = eval_curve(c, t)
     T, speed = _unit_tangent(d1, t)
-    fast = _first(speed > MAX_SPEED, t)
-    if fast is not None:
-        raise FloatingPointError(f"|r'|^3 overflows: |r'|="
-                                 f"{np.ravel(speed)[fast[0]]:.3e} at t={fast[1]}")
-    cr = np.cross(d1, d2)
+    _check_speed(speed > MAX_SPEED, d1, t)
+    cr = vec_cross(d1, d2)
     ncr = vec_norm(cr)
     kappa = ncr / ex.power(speed, 3)
     ncr = _guard(ncr, kappa <= EPS_REG,
                  lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
     B = cr / _per_sample(ncr)
-    N = np.cross(B, T)
+    N = vec_cross(B, T)
     tau = vec_dot(cr, d3) / ex.power(ncr, 2)
     return FrenetData(pos, T, N, B, kappa, tau, speed)
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +66,20 @@ class ExprDomainError(ExprError):
 # jets
 
 
-@dataclass(frozen=True, slots=True)
-class Jet3:
+class Jet3(Record):
     """Value and derivatives of orders 1..3 of a scalar function at a point,
     or (fields as arrays) at each point of a grid."""
 
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
-    d3: float = 0.0
+    __slots__ = ("value", "d1", "d2", "d3")
+
+    def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
+        # Spelled out: every arithmetic step builds one, and this is about
+        # twice as fast as the generic constructor.
+        _set = object.__setattr__
+        _set(self, "value", value)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "d3", d3)
 
     @staticmethod
     def constant(v: float) -> "Jet3":
@@ -168,37 +174,32 @@ def _any(cond) -> bool:
 # syntax tree
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """The parameter ``s``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Pi:
+
+class Pi(Record):
     """The constant pi."""
 
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Neg(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")  # op: one of + - * / ^
+
+
+class Call(Record):
+    __slots__ = ("func", "arg")
 
 
 Expr = Union[Num, Var, Pi, Neg, BinOp, Call]

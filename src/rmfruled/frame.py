@@ -17,30 +17,31 @@ Frames, angles and frame derivatives take a float or a 1-D grid, as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveDef, FrenetData, _per_sample, frenet, tangent_data
+from .curve import (CurveDef, FrenetData, _per_sample, frenet, tangent_data,
+                    vec_cross)
 from .errors import GeometryError, VanishingCurvature
+from .record import Record, fields
 
 _N_CELLS = 2048  # uniform cells of the RMF angle table, one Simpson panel each
 
 
-@dataclass(frozen=True)
-class RotationMinimizing:
+class RotationMinimizing(Record):
     """True RMF with initial angle theta0 (radians) at the range start."""
 
-    theta0: float = 0.0
+    __slots__ = ("theta0",)
+    _defaults = {"theta0": 0.0}
 
 
-@dataclass(frozen=True)
-class ExplicitTheta:
-    """User-supplied theta(s); must be differentiable on the full range."""
+class ExplicitTheta(Record):
+    """User-supplied theta(s), an :data:`expr.Expr`; must be differentiable
+    on the full range."""
 
-    theta: ex.Expr
+    __slots__ = ("theta",)
 
     @staticmethod
     def from_string(text: str) -> "ExplicitTheta":
@@ -50,15 +51,11 @@ class ExplicitTheta:
 ThetaPolicy = Union[RotationMinimizing, ExplicitTheta]
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Orthonormal right-handed {T, U, V} with the angle and its t-derivative."""
+class AdaptedFrame(Record):
+    """Orthonormal right-handed {T, U, V} with the angle theta and its
+    derivative ``theta_prime`` = d(theta)/dt in the curve parameter."""
 
-    T: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    theta: float
-    theta_prime: float  # d(theta)/dt in the curve parameter
+    __slots__ = ("T", "U", "V", "theta", "theta_prime")
 
 
 def _cos_sin(theta):
@@ -192,7 +189,7 @@ def double_reflection(points, tangents, u0):
     U = np.empty((n, 3))
     V = np.empty((n, 3))
     U[0] = u / np.linalg.norm(u)
-    V[0] = np.cross(tans[0], U[0])
+    V[0] = vec_cross(tans[0], U[0])
     for i in range(n - 1):
         v1 = pts[i + 1] - pts[i]
         c1 = float(np.dot(v1, v1))
@@ -209,7 +206,7 @@ def double_reflection(points, tangents, u0):
         un = un - float(np.dot(un, tans[i + 1])) * tans[i + 1]
         un /= np.linalg.norm(un)
         U[i + 1] = un
-        V[i + 1] = np.cross(tans[i + 1], un)
+        V[i + 1] = vec_cross(tans[i + 1], un)
     return U, V
 
 
@@ -282,7 +279,7 @@ class FrameField:
         if self.is_rmf and isinstance(t, np.ndarray):
             n = len(t)
             both = self.frenet_at(np.concatenate([t, 0.5 * (self._panel(t)[1] + t)]))
-            fd = FrenetData(*(field[:n] for field in vars(both).values()))
+            fd = FrenetData(*(value[:n] for value in fields(both).values()))
             mid = _theta_rate(both)[n:]
         else:
             fd, mid = self.frenet_at(t), None

@@ -18,14 +18,14 @@ take floats or 1-D grids; where a float call raises, a grid gives NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, _guard, _per_sample, vec_dot
+from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot
 from .errors import TangentRuling
 from .frame import _cos_sin, frame_angular_velocity
+from .record import Record
 from .ruled import FD_STEP, RuledSurface, _director_scale, _float_path, _stacked
 
 # Closed-form residuals are exact identities; finite-difference-backed
@@ -113,7 +113,7 @@ def geodesic_curvature_numeric(surface: RuledSurface, s):
     """< N x T, T' > with a finite-difference tangent derivative."""
     n = surface.normal(s, 0.0)
     T, Tp = _tangent_arc_derivative(surface, s)
-    return vec_dot(np.cross(n, T), Tp)
+    return vec_dot(vec_cross(n, T), Tp)
 
 
 def normal_curvature_numeric(surface: RuledSurface, s):
@@ -127,48 +127,38 @@ def geodesic_torsion_numeric(surface: RuledSurface, s):
     """< N x N', T' > by finite differences of the v=0 surface normal."""
     n, dn = _normal_arc_derivative(surface, s)
     _, Tp = _tangent_arc_derivative(surface, s)
-    return vec_dot(np.cross(n, dn), Tp)
+    return vec_dot(vec_cross(n, dn), Tp)
 
 
 def curvature_line_residual_numeric(surface: RuledSurface, s):
     """< N', N x T > by finite differences of the v=0 surface normal."""
     n, dn = _normal_arc_derivative(surface, s)
-    return vec_dot(dn, np.cross(n, surface.frame(s)[0].T))
+    return vec_dot(dn, vec_cross(n, surface.frame(s)[0].T))
 
 
 # ---------------------------------------------------------------------------
 # per-curve report
 
 
-@dataclass(frozen=True)
-class BaseCurveSample:
-    s: float
-    kappa: float
-    tau: float
-    theta: float
-    x1: float
-    x2: float
-    x3: float
-    P: float
-    k_g: float
-    k_n: float
-    tau_g: float
-    rho: float  # Rodrigues residual, closed form
-    res_geodesic: float  # x2 cos - x3 sin
-    res_asymptotic: float  # x3 cos + x2 sin
-    res_curvature_line: float  # sin(2t)(x3^2-x2^2)/2 - cos(2t) x2 x3
+class BaseCurveSample(Record):
+    """Invariants at one s, all floats.  ``rho`` is the closed-form Rodrigues
+    residual; the three ``res_*`` are x2 cos - x3 sin (geodesic), x3 cos +
+    x2 sin (asymptotic) and sin(2t)(x3^2-x2^2)/2 - cos(2t) x2 x3."""
+
+    __slots__ = ("s", "kappa", "tau", "theta", "x1", "x2", "x3", "P",
+                 "k_g", "k_n", "tau_g", "rho",
+                 "res_geodesic", "res_asymptotic", "res_curvature_line")
 
 
-@dataclass(frozen=True)
-class BaseCurveReport:
-    samples: list
-    is_geodesic: bool
-    is_asymptotic: bool
-    is_curvature_line_frame: bool  # tan(2 theta) condition
-    is_curvature_line_rodrigues: bool
-    director_parallel_tangent: bool  # x2 = x3 = 0 identically
-    tol: float
-    excluded: list = field(default_factory=list)  # s with no frame or x2=x3~0
+class BaseCurveReport(Record):
+    """Samples and condition flags.  ``is_curvature_line_frame`` is the
+    tan(2 theta) condition; ``director_parallel_tangent`` means x2 = x3 = 0
+    identically; ``excluded`` lists the s with no frame or x2 = x3 ~ 0."""
+
+    __slots__ = ("samples", "is_geodesic", "is_asymptotic", "is_curvature_line_frame",
+                 "is_curvature_line_rodrigues", "director_parallel_tangent", "tol",
+                 "excluded")
+    _defaults = {"excluded": ()}
 
 
 def base_curve_report(surface: RuledSurface, s_values,

@@ -9,15 +9,14 @@ arrays, with one fixed ``%``-template per row kind (:func:`format_rows`).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import vec_dot, vec_norm
+from .curve import vec_cross, vec_dot, vec_norm
+from .record import Record, fields
 from .ruled import (ClassificationReport, RuledSurface, _director_scale,
                     _float_path)
 
@@ -31,20 +30,15 @@ CSV_COLUMNS = ("s", "kappa", "tau", "theta", "x1", "x2", "x3", "P",
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Mesh:
-    """Grid mesh: row-major vertices (n_s rows by n_v columns).
+class Mesh(Record):
+    """Grid mesh: (n, 3) row-major vertices (n_s rows by n_v columns), (n, 3)
+    unit normals and (m, 3) int faces, counterclockwise about the normals.
 
-    ``normals[i]`` may be None at singular samples; the mesh is then
-    flat-shaded and normals are omitted on export.
+    A normal row is NaN at a singular sample; the mesh is then flat-shaded
+    and normals are omitted on export.
     """
 
-    vertices: np.ndarray  # (n, 3)
-    normals: list  # entries: np.ndarray or None
-    faces: np.ndarray  # (m, 3) int, counterclockwise w.r.t. stored normals
-    flat_shaded: bool
-    n_s: int
-    n_v: int
+    __slots__ = ("vertices", "normals", "faces", "flat_shaded", "n_s", "n_v")
 
 
 def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
@@ -79,11 +73,10 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     total = (corner[:, 0] + corner[:, 1]) + corner[:, 2]  # np.mean's order
     mean = total / np.maximum(3 - missing[faces].sum(axis=1), 1)[:, None]
     p0, p1, p2 = (verts[faces[:, k]] for k in range(3))
-    flip = vec_dot(np.cross(p1 - p0, p2 - p0), mean) < 0.0
+    flip = vec_dot(vec_cross(p1 - p0, p2 - p0), mean) < 0.0
     faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    normals = [None if m else n for m, n in zip(missing.tolist(), norms)]
-    return Mesh(verts, normals, faces, bool(missing.any()), n_s, n_v)
+    return Mesh(verts, norms, faces, bool(missing.any()), n_s, n_v)
 
 
 def format_rows(row: str, table) -> str:
@@ -121,8 +114,8 @@ def samples_to_csv(samples) -> str:
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, Record):
+        return {k: _jsonable(v) for k, v in fields(obj).items()}
     if isinstance(obj, np.ndarray):
         return [float(x) for x in obj.ravel()]
     if isinstance(obj, (np.floating, np.integer)):

@@ -12,18 +12,17 @@ raises, a grid gives NaN, and each other element equals the float call.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, CurveDef, _guard, _per_sample, vec_dot, vec_norm
+from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot, vec_norm
 from .errors import (CylindricalPoint, GeometryError,
                      RequiresRotationMinimizingFrame, SingularPoint,
                      TangentRuling, ZeroDirector)
-from .frame import FrameField, ThetaPolicy, _cos_sin, frame_derivatives
+from .frame import FrameField, _cos_sin, frame_derivatives
+from .record import Record, fields
 
 # Finite-difference step for the fundamental-form oracle; fixed for
 # reproducible golden values.
@@ -37,12 +36,12 @@ _FAILURES = (GeometryError, ex.ExprError, ArithmeticError)
 
 
 def _widen(x, ok):
-    """Grid data (dataclasses and tuples of arrays) computed at the samples
+    """Grid data (records and tuples of arrays) computed at the samples
     where ``ok`` holds, widened to the whole grid with NaN elsewhere."""
     if isinstance(x, tuple):
         return tuple(_widen(v, ok) for v in x)
-    if dataclasses.is_dataclass(x):
-        return type(x)(*(_widen(getattr(x, f.name), ok) for f in dataclasses.fields(x)))
+    if isinstance(x, Record):
+        return type(x)(*(_widen(v, ok) for v in fields(x).values()))
     out = np.full(ok.shape + np.shape(x)[1:], np.nan)
     out[ok] = x
     return out
@@ -114,65 +113,46 @@ def _over_xp2(num, xp: np.ndarray, s):
                         lambda: CylindricalPoint(f"|X'|~0 at s={s}"))
 
 
-@dataclass(frozen=True)
-class DirectorField:
-    """Dimensionless ruling-direction coordinates in the adapted frame."""
+class DirectorField(Record):
+    """Dimensionless ruling-direction coordinates in the adapted frame, as
+    :data:`expr.Expr` trees."""
 
-    x1: ex.Expr
-    x2: ex.Expr
-    x3: ex.Expr
+    __slots__ = ("x1", "x2", "x3")
 
     @staticmethod
     def from_strings(x1: str, x2: str, x3: str) -> "DirectorField":
         return DirectorField(ex.parse(x1), ex.parse(x2), ex.parse(x3))
 
 
-@dataclass(frozen=True)
-class RuledSurfaceDef:
-    curve: CurveDef
-    theta: ThetaPolicy
-    director: DirectorField
-    v_min: float = -1.0
-    v_max: float = 1.0
+class RuledSurfaceDef(Record):
+    """A :class:`CurveDef`, a theta policy (:class:`RotationMinimizing` or
+    :class:`ExplicitTheta`), a :class:`DirectorField` and the v-range."""
 
-    def __post_init__(self):
+    __slots__ = ("curve", "theta", "director", "v_min", "v_max")
+    _defaults = {"v_min": -1.0, "v_max": 1.0}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be < v_max")
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Pointwise surface data with finite-difference form coefficients."""
+class SurfaceSample(Record):
+    """Pointwise surface data with finite-difference form coefficients: the
+    point, partials and unit normal, then E, F, G, e, f, g and K."""
 
-    s: float
-    v: float
-    point: np.ndarray
-    d_s: np.ndarray
-    d_v: np.ndarray
-    normal: np.ndarray | None
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-    K: float
+    __slots__ = ("s", "v", "point", "d_s", "d_v", "normal",
+                 "E", "F", "G", "e", "f", "g", "K")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdict: str  # "yes" | "no" | "borderline"
-    max_abs_det: float
-    special_case: str
-    corollary_conditions: dict
-    notes: list
-    max_interior_abs_K: float
-    tol_dev: float
-    tol_K: float
-    base_curve: object = None  # BaseCurveReport, attached by callers
-    n_s: int = 0
-    n_v: int = 0
-    skipped_samples: list = field(default_factory=list)
+class ClassificationReport(Record):
+    """``verdict`` is "yes", "no" or "borderline"; ``base_curve`` is a
+    ``BaseCurveReport`` that callers may attach."""
+
+    __slots__ = ("verdict", "max_abs_det", "special_case", "corollary_conditions",
+                 "notes", "max_interior_abs_K", "tol_dev", "tol_K",
+                 "base_curve", "n_s", "n_v", "skipped_samples")
+    _defaults = {"base_curve": None, "n_s": 0, "n_v": 0, "skipped_samples": ()}
 
 
 class RuledSurface:
@@ -288,7 +268,7 @@ class RuledSurface:
         """Unit surface normal, oriented as d_s x d_v and shaped as ``point``;
         floats s and v raise where the partials degenerate, else NaN rows."""
         d_s, d_v = self.partials(s, v)
-        n = np.cross(d_s, d_v)
+        n = vec_cross(d_s, d_v)
         nn = vec_norm(n)
         if isinstance(nn, np.ndarray):
             return n / np.where(nn <= EPS_REG, np.nan, nn)[..., None]
@@ -313,7 +293,7 @@ class RuledSurface:
         dvv = (pvv - 2 * p + pvm) / h ** 2
         dsv = (ppp - ppm - pmp + pmm) / (4 * h ** 2)
         E, F, G = vec_dot(d_s, d_s), vec_dot(d_s, d_v), vec_dot(d_v, d_v)
-        cr = np.cross(d_s, d_v)
+        cr = vec_cross(d_s, d_v)
         ncr = vec_norm(cr)
         ncr = _guard(ncr, ncr <= EPS_REG,
                      lambda: SingularPoint(f"degenerate partials at (s={s}, v={v})"))

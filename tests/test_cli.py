@@ -224,14 +224,29 @@ def test_frames_do_not_evaluate_the_director(tmp_path):
 def test_fast_curve_is_a_geometry_error(tmp_path, capsys, command, theta):
     # |r'| = 1e110 everywhere, so kappa's denominator |r'|^3 leaves the float
     # range: the grid and float paths stop with the same line
+    _assert_too_fast(tmp_path, capsys, command, theta, "1e110")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+@pytest.mark.parametrize("theta", [{"mode": "rmf", "theta0": 0},
+                                   {"mode": "explicit", "expr": "atan(s)"}],
+                         ids=["rmf", "explicit"])
+def test_overflowing_speed_squared_is_a_geometry_error(tmp_path, capsys, command,
+                                                       theta):
+    # |r'| = 1e160: |r'|^2 itself overflows, which is checked before squaring
+    _assert_too_fast(tmp_path, capsys, command, theta, "1e160")
+
+
+def _assert_too_fast(tmp_path, capsys, command, theta, speed):
     doc = json.loads((CONFIGS / "example1.json").read_text())
-    doc["curve"] = {"x": "1e110*s", "y": "cos(s)", "z": "sin(s)", "s_range": [0, 1]}
+    doc["curve"] = {"x": f"{speed}*s", "y": "cos(s)", "z": "sin(s)", "s_range": [0, 1]}
     doc["theta"] = theta
     cfg, out = tmp_path / "c.json", tmp_path / "r.out"
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "E_GEOMETRY: |r'|^3 overflows: |r'|=1.000e+110 at t=0.0\n")
+        f"E_GEOMETRY: |r'|^3 overflows: |r'|={float(speed):.3e} at t=0.0\n")
     assert not out.exists()
 
 

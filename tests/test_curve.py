@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmfruled.curve import (MAX_SPEED, CurveDef, eval_curve, frenet,
-                            tangent_data, validate_regular)
+                            tangent_data, validate_regular, vec_cross)
 from rmfruled.errors import (DegenerateTangent, ParameterOutOfRange,
                              VanishingCurvature)
 
@@ -176,3 +176,38 @@ def test_speed_past_max_speed_raises_on_float_and_grid(t):
             frenet(slow, t)
     else:
         assert np.all(np.isnan(frenet(slow, t).N))
+
+
+@pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 5)], ids=["float", "grid"])
+@pytest.mark.parametrize("fn", [frenet, tangent_data])
+def test_speed_squared_overflow_is_checked_before_squaring(fn, t):
+    # |r'|^2 = 1e320 is past the float range; numpy's overflow must not come first
+    c = CurveDef.from_strings("1e160*s", "cos(s)", "sin(s)", 0, 1)
+    at = 0.5 if isinstance(t, float) else 0.0
+    with np.errstate(all="raise"), pytest.raises(
+            FloatingPointError, match=rf"\|r'\|\^3 overflows: \|r'\|=1.000e\+160 at t={at}$"):
+        fn(c, t)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3,), (3,)),          # double_reflection's rows
+    ((50, 3), (50, 3)),    # frenet and oracles on a grid
+    ((4, 50, 3), (50, 3)),  # normal: one grid of d_s rows per v, X per s
+    ((50, 3), (3,)),
+])
+def test_vec_cross_is_byte_equal_to_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        special = rng.random(shape) < 0.3
+        return np.where(special, rng.choice(_SPECIAL, size=shape), x)
+
+    for _ in range(20):
+        a, b = draw(shape_a), draw(shape_b)
+        with np.errstate(all="ignore"):
+            got, want = vec_cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

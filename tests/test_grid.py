@@ -11,7 +11,6 @@ stacked from two grids must give what the two give apart, and one ``verify``
 or ``surface`` run makes a pinned number of curve passes.
 """
 
-import dataclasses
 import json
 import sys
 
@@ -24,6 +23,7 @@ from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import DegenerateTangent, VanishingCurvature
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
+from rmfruled.record import fields
 from rmfruled.ruled import FD_STEP, RuledSurface
 
 FLAT = CurveDef.from_strings("s", "s^3", "s^4", -1, 1)
@@ -99,16 +99,16 @@ def test_grid_equals_float_path(name, shift):
 
 
 def _fields(x):
-    return [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return list(fields(x).values())
 
 
 def _concat(x, y, axis=0):
     """The results of two grid calls, joined in the shape that one call on the
-    joined grids returns: arrays along the sample ``axis``, dataclasses and
+    joined grids returns: arrays along the sample ``axis``, records and
     tuples field by field, and equal floats (a sample's v) kept as they are."""
     if isinstance(x, tuple):
         return tuple(_concat(a, b, axis) for a, b in zip(x, y))
-    if dataclasses.is_dataclass(x):
+    if fields(x) is not None:
         return type(x)(*(_concat(a, b, axis) for a, b in zip(_fields(x), _fields(y))))
     if isinstance(x, np.ndarray):
         return np.concatenate([x, y], axis=axis)
@@ -119,7 +119,7 @@ def _concat(x, y, axis=0):
 def _bytes(x):
     if isinstance(x, tuple):
         return [_bytes(v) for v in x]
-    if dataclasses.is_dataclass(x):
+    if fields(x) is not None:
         return [_bytes(v) for v in _fields(x)]
     return np.asarray(x).tobytes()
 

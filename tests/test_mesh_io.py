@@ -28,8 +28,8 @@ def read_obj(text: str) -> Mesh:
             norms.append(np.array([float(x) for x in parts[1:4]]))
         elif parts[0] == "f":
             faces.append([int(p.split("//")[0]) - 1 for p in parts[1:4]])
-    normals = norms if norms else [None] * len(verts)
-    return Mesh(np.array(verts), list(normals), np.array(faces, dtype=int),
+    normals = np.array(norms) if norms else np.full((len(verts), 3), np.nan)
+    return Mesh(np.array(verts), normals, np.array(faces, dtype=int),
                 not norms, 0, 0)
 
 
@@ -68,8 +68,8 @@ def test_vertices_are_exact_surface_points(geodesic_example):
 
 def test_normals_unit_length(rmf_polynomial):
     mesh = tessellate(rmf_polynomial, 21, 7)
+    assert mesh.normals.shape == (21 * 7, 3)
     for n in mesh.normals:
-        assert n is not None
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -79,7 +79,7 @@ def test_tangent_director_flags_flat_shaded(helix):
     assert mesh.flat_shaded
     # the v = 0 column is the singular locus
     for i in range(11):
-        assert mesh.normals[i * 5 + 2] is None
+        assert np.isnan(mesh.normals[i * 5 + 2]).all()
 
 
 def test_face_indices_in_range(geodesic_example):
@@ -130,7 +130,7 @@ def _reference_faces(verts, normals, n_s, n_v):
             else:
                 tris = ((a, b, c), (b, d, c))
             for tri in tris:
-                ref = [normals[k] for k in tri if normals[k] is not None]
+                ref = [normals[k] for k in tri if not np.isnan(normals[k]).any()]
                 if ref:
                     p, q, r = (verts[k] for k in tri)
                     if float(np.dot(np.cross(q - p, r - p), np.mean(ref, axis=0))) < 0.0:
@@ -169,11 +169,11 @@ def test_rows_equal_per_vertex_evaluation(build):
             try:
                 n = surface.normal(s, v)
             except GeometryError:
-                assert mesh.normals[k] is None
+                assert np.isnan(mesh.normals[k]).all()
             else:
                 assert mesh.normals[k].tobytes() == n.tobytes()
             k += 1
-    assert mesh.flat_shaded == any(n is None for n in mesh.normals)
+    assert mesh.flat_shaded == np.isnan(mesh.normals).any()
     assert np.array_equal(mesh.faces,
                           _reference_faces(mesh.vertices, mesh.normals, n_s, n_v))
 
@@ -232,9 +232,8 @@ def _hand_built_mesh(flat_shaded):
     big = 2 ** 31 + 7
     vertices = np.array([[-0.0, 5e-324, 1e300], [123456789.5, -1e-300, 0.1],
                          [np.pi, -2.5, 1e16 + 2.0]])
-    normals = ([None, None, None] if flat_shaded else
-               [np.array([-0.0, 1.0, 0.0]), np.array([0.6, -0.8, 5e-324]),
-                np.array([1e-300, 0.0, -1.0])])
+    normals = (np.full((3, 3), np.nan) if flat_shaded else
+               np.array([[-0.0, 1.0, 0.0], [0.6, -0.8, 5e-324], [1e-300, 0.0, -1.0]]))
     faces = np.array([[0, 1, 2], [big, big + 1, 2 ** 40], [2, 0, 1]])
     return Mesh(vertices, normals, faces, flat_shaded, 0, 0)
 

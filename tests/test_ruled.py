@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,8 @@ from rmfruled.curve import CurveDef
 from rmfruled.errors import (RequiresRotationMinimizingFrame, SingularPoint,
                              TangentRuling, ZeroDirector)
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
-from rmfruled.ruled import classify
+from rmfruled.record import fields
+from rmfruled.ruled import SurfaceSample, classify
 
 
 def test_director_tangent_case(helix):
@@ -316,8 +316,8 @@ def test_classify_K_cross_check(helix):
 def test_classify_lists_nonfinite_K_as_skipped(helix, monkeypatch):
     surf = make_surface(helix, RotationMinimizing(0.0), "0", "1", "0")
     real = surf.sample
-    monkeypatch.setattr(surf, "sample", lambda s, v: dataclasses.replace(
-        real(s, v), K=math.nan))
+    monkeypatch.setattr(surf, "sample", lambda s, v: SurfaceSample(
+        **{**fields(real(s, v)), "K": math.nan}))
     rep = classify(surf, n_s=13, n_v=5)
     bad = [s for s, reason in rep.skipped_samples if reason == "NonFiniteK"]
     assert len(bad) == 13 * 2  # every s-row at both interior v != 0
