@@ -10,7 +10,9 @@ stderr text and the digest of the output file (null when none is written).
 401`` (cases ``frames@401:...`` and ``surface@401:...``), and so do
 ``classify`` and ``verify`` with ``--format json`` (``classify@401:...``,
 ``verify@401:...``), which pin the stacked oracle and K-stencil grids away
-from the configs' own n_s.
+from the configs' own n_s.  ``classify`` also runs at ``--samples 1001`` in
+both formats (``classify@1001-csv:...``, ``classify@1001-json:...``), which
+pin the base-curve table as CSV and as JSON rows.
 
 The digests live in ``golden_digests.json``.  Regenerate them, only for a
 change that is meant to alter an output, with
@@ -48,6 +50,9 @@ def _cases():
         for cmd in ("classify", "verify"):
             cases[f"{cmd}@401:{cfg.name}"] = (cmd, cfg.name, ["--samples", "401",
                                                               "--format", "json"])
+        for fmt in ("csv", "json"):
+            cases[f"classify@1001-{fmt}:{cfg.name}"] = (
+                "classify", cfg.name, ["--samples", "1001", "--format", fmt])
     return cases
 
 
