@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -171,15 +170,21 @@ def load_config(path: str) -> JobConfig:
 
 
 def write_atomic(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    """``text`` to ``path`` through a temp file in its directory and a rename;
+    an OS error is a ConfigError, and leaves no temp file behind."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):  # the temp name is left out: it is random
+            raise ConfigError(f"cannot write output: {path}: "
+                              f"{err.strerror or err}") from err
         raise
 
 
@@ -218,7 +223,7 @@ def cmd_classify(job: JobConfig, out_path: str) -> int:
                             tol_dev=job.tol_dev, tol_K=job.tol_K)
     bc = invariants.base_curve_report(surface, _s_grid(job), tol=job.tol_inv)
     report = ruled.ClassificationReport(**{**fields(report), "base_curve": bc})
-    write_atomic(out_path, mesh_io.write_report(report, bc.samples, job.fmt))
+    write_atomic(out_path, mesh_io.write_report(report, job.fmt))
     return 0
 
 
@@ -231,8 +236,8 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
     grid = _s_grid(job)
     bc = invariants.base_curve_report(surface, grid, tol=job.tol_inv)
-    kappa, k_g, k_n, tau_g, rho = np.array(list(map(operator.attrgetter(
-        "kappa", "k_g", "k_n", "tau_g", "rho"), bc.samples))).T
+    kappa, k_g, k_n, tau_g, rho = (bc.table[:, invariants.COLUMNS.index(name)]
+                                   for name in ("kappa", "k_g", "k_n", "tau_g", "rho"))
     usable = ~np.isnan(k_g)
 
     checks = []
@@ -266,13 +271,12 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
         "curvature_line_frame": bc.is_curvature_line_frame,
         "curvature_line": bc.is_curvature_line_rodrigues,
     }
-    cls = None
+    verdict = None
     for key, want in job.expect.items():
         if key == "developable":
-            if cls is None:
-                cls = ruled.classify(surface, job.n_s, job.n_v,
-                                     tol_dev=job.tol_dev, tol_K=job.tol_K)
-            got = cls.verdict
+            if verdict is None:
+                verdict = ruled.det_verdict(surface, grid, job.tol_dev)[0]
+            got = verdict
         elif key in flag_map:
             got = flag_map[key]
         else:

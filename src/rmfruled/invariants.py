@@ -42,7 +42,7 @@ def _ruling_weight2(x2, x3):
 
 
 def condition_residuals(x2, x3, theta):
-    """Geodesic, asymptotic and tan(2 theta) residuals, as in BaseCurveSample."""
+    """Geodesic, asymptotic and tan(2 theta) residuals (the ``res_*`` columns)."""
     c, sn = _cos_sin(theta)
     c2, s2 = _cos_sin(2 * theta)
     return (x2 * c - x3 * sn,
@@ -140,22 +140,21 @@ def curvature_line_residual_numeric(surface: RuledSurface, s):
 # per-curve report
 
 
-class BaseCurveSample(Record):
-    """Invariants at one s, all floats.  ``rho`` is the closed-form Rodrigues
-    residual; the three ``res_*`` are x2 cos - x3 sin (geodesic), x3 cos +
-    x2 sin (asymptotic) and sin(2t)(x3^2-x2^2)/2 - cos(2t) x2 x3."""
-
-    __slots__ = ("s", "kappa", "tau", "theta", "x1", "x2", "x3", "P",
-                 "k_g", "k_n", "tau_g", "rho",
-                 "res_geodesic", "res_asymptotic", "res_curvature_line")
+# The columns of BaseCurveReport.table.  ``rho`` is the closed-form Rodrigues
+# residual; the three ``res_*`` are x2 cos - x3 sin (geodesic), x3 cos +
+# x2 sin (asymptotic) and sin(2t)(x3^2-x2^2)/2 - cos(2t) x2 x3.
+COLUMNS = ("s", "kappa", "tau", "theta", "x1", "x2", "x3", "P",
+           "k_g", "k_n", "tau_g", "rho",
+           "res_geodesic", "res_asymptotic", "res_curvature_line")
 
 
 class BaseCurveReport(Record):
-    """Samples and condition flags.  ``is_curvature_line_frame`` is the
-    tan(2 theta) condition; ``director_parallel_tangent`` means x2 = x3 = 0
-    identically; ``excluded`` lists the s with no frame or x2 = x3 ~ 0."""
+    """The (n, 15) float ``table`` of invariants, one row per s in
+    :data:`COLUMNS` order, and condition flags.  ``is_curvature_line_frame``
+    is the tan(2 theta) condition; ``director_parallel_tangent`` means x2 = x3
+    = 0 identically; ``excluded`` lists the s with no frame or x2 = x3 ~ 0."""
 
-    __slots__ = ("samples", "is_geodesic", "is_asymptotic", "is_curvature_line_frame",
+    __slots__ = ("table", "is_geodesic", "is_asymptotic", "is_curvature_line_frame",
                  "is_curvature_line_rodrigues", "director_parallel_tangent", "tol",
                  "excluded")
     _defaults = {"excluded": ()}
@@ -189,8 +188,7 @@ def base_curve_report(surface: RuledSurface, s_values,
         *condition_residuals(x2, x3, th)], np.nan)
     frame_cols = np.where(framed, [kappa, fd.tau, th], np.nan)
     P = np.where(framed, surface.distribution_parameter(s), np.nan)
-    samples = [BaseCurveSample(*row) for row in np.vstack(
-        [s, frame_cols, x1, x2, x3, P, closed]).T.tolist()]
+    table = np.vstack([s, frame_cols, x1, x2, x3, P, closed]).T
 
     parallel_tangent = np.fmax.reduce(w2, initial=0.0) <= EPS_REG ** 2
     used = framed & ~tangent
@@ -199,5 +197,5 @@ def base_curve_report(surface: RuledSurface, s_values,
         vals = np.abs(res[used])
         return not parallel_tangent and vals.size > 0 and bool(np.all(vals < tol))
 
-    return BaseCurveReport(samples, *map(holds, closed[[4, 5, 6, 3]]),
+    return BaseCurveReport(table, *map(holds, closed[[4, 5, 6, 3]]),
                            bool(parallel_tangent), tol, s[~used].tolist())

@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 
 import numpy as np
 
 from .curve import vec_cross, vec_dot, vec_norm
+from .invariants import COLUMNS as CSV_COLUMNS, BaseCurveReport
 from .record import Record, fields
 from .ruled import (ClassificationReport, RuledSurface, _director_scale,
                     _float_path)
 
 OBJ_FMT = "%.9g"
 CSV_FMT = "%.12g"
-
-CSV_COLUMNS = ("s", "kappa", "tau", "theta", "x1", "x2", "x3", "P",
-               "k_g", "k_n", "tau_g", "rho",
-               "res_geodesic", "res_asymptotic", "res_curvature_line")
 
 SCHEMA_VERSION = 1
 
@@ -107,13 +103,17 @@ def write_obj(mesh: Mesh) -> str:
 # reports
 
 
-def samples_to_csv(samples) -> str:
-    """CSV table of per-sample base-curve invariants (header always present)."""
-    rows = map(operator.attrgetter(*CSV_COLUMNS), samples)
-    return csv_table(CSV_COLUMNS, list(rows))
+def samples_to_csv(table) -> str:
+    """CSV of a base-curve table (header always present)."""
+    return csv_table(CSV_COLUMNS, table)
 
 
 def _jsonable(obj):
+    if isinstance(obj, BaseCurveReport):  # the table as one object per row
+        doc = _jsonable({k: v for k, v in fields(obj).items() if k != "table"})
+        doc["samples"] = [dict(zip(CSV_COLUMNS, row))
+                          for row in _jsonable(obj.table.tolist())]
+        return doc
     if isinstance(obj, Record):
         return {k: _jsonable(v) for k, v in fields(obj).items()}
     if isinstance(obj, np.ndarray):
@@ -135,10 +135,10 @@ def report_to_json(report: ClassificationReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(report: ClassificationReport, samples, fmt: str) -> str:
-    """Serialize either the sample table (csv) or the full report (json)."""
+def write_report(report: ClassificationReport, fmt: str) -> str:
+    """Serialize either the base-curve table (csv) or the full report (json)."""
     if fmt == "csv":
-        return samples_to_csv(samples)
+        return samples_to_csv(report.base_curve.table)
     if fmt == "json":
         return report_to_json(report)
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")

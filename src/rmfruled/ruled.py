@@ -324,36 +324,38 @@ def _special_case_tag(vanish):
     return "general"
 
 
-def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
-             tol_dev: float = TOL_DEV, tol_K: float = TOL_K) -> ClassificationReport:
-    """Developability verdict, span detection, and per-case condition residuals.
-
-    The verdict comes from max |det(T, X, X')| on the s-grid (numeric path,
-    valid for both theta policies) with a 10x hysteresis band for
-    "borderline", and is cross-checked against max |K| at interior v.  A
-    director that vanishes at every grid node raises :class:`ZeroDirector`.
-    """
-    sdef = surface.sdef
-    s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
+def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_DEV):
+    """(verdict, max |det|, usable-sample mask, skipped [(s, error name)],
+    max |x_i| per coefficient) from det(T, X, X') on the grid ``s_vals``
+    (numeric path, valid for both theta policies).  The verdict is "yes"
+    below ``tol_dev``, "no" above ``10 tol_dev`` and "borderline" between.
+    Raises :class:`ZeroDirector` if the director vanishes at every node."""
     dets = surface.ruling_det(s_vals)
     failed = _float_path(lambda s: (surface.coefficients(s), surface.ruling_det(s)),
                          s_vals, dets)
     skipped = [(float(s_vals[i]), name) for i, name in failed.items()]
-    jets, _, _ = surface._row(s_vals)
-    max_abs = _director_scale(jets)
-    ok = ~np.isin(np.arange(n_s), list(failed))
+    max_abs = _director_scale(surface._row(s_vals)[0])
+    ok = ~np.isin(np.arange(len(s_vals)), list(failed))
     if not ok.any():
         raise GeometryError("no usable samples on the classification grid")
     max_det = float(np.max(np.abs(dets[ok])))
-    if max_det < tol_dev:
-        verdict = "yes"
-    elif max_det > 10.0 * tol_dev:
-        verdict = "no"
-    else:
-        verdict = "borderline"
+    verdict = ("yes" if max_det < tol_dev else
+               "no" if max_det > 10.0 * tol_dev else "borderline")
+    return verdict, max_det, ok, skipped, max_abs
+
+
+def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
+             tol_dev: float = TOL_DEV, tol_K: float = TOL_K) -> ClassificationReport:
+    """Developability verdict (:func:`det_verdict`), span detection, and
+    per-case condition residuals; the verdict is cross-checked against max
+    |K| at interior v."""
+    sdef = surface.sdef
+    s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
+    verdict, max_det, ok, skipped, max_abs = det_verdict(surface, s_vals, tol_dev)
 
     tag = _special_case_tag([m <= EPS_REG for m in max_abs])
 
+    jets, _, _ = surface._row(s_vals)
     fd, af = surface.frame(s_vals)
     k, sp = fd.kappa[ok], fd.speed[ok]
     c, sn = _cos_sin(af.theta[ok])

@@ -303,3 +303,68 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, target):
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    out = work / ("no/such/dir/out" if target == "missing_dir" else "dir")
+    assert main([command, "--config", str(CONFIGS / "example1.json"),
+                 "--out", str(out)]) == 2
+    reason = "No such file or directory" if target == "missing_dir" else "Is a directory"
+    assert capsys.readouterr().err == f"E_CONFIG: cannot write output: {out}: {reason}\n"
+    assert sorted(p.name for p in work.rglob("*")) == ["dir"]  # no temp file left
+
+
+def test_verify_takes_no_surface_samples(tmp_path, monkeypatch):
+    # the K stencil (RuledSurface.sample) is classify's cross-check only
+    calls = []
+    sample = ruled.RuledSurface.sample
+
+    def counting(self, s, v):
+        calls.append(v)
+        return sample(self, s, v)
+
+    monkeypatch.setattr(ruled.RuledSurface, "sample", counting)
+    cfg = str(CONFIGS / "proportional_normal_coeffs.json")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v.json")]) == 0
+    assert not calls
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+    assert calls
+
+
+def _flat_node_doc():
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"] = {"x": "s", "y": "s^3", "z": "s^4", "s_range": [-1, 1]}
+    doc["theta"] = {"mode": "rmf", "theta0": 0}
+    return doc
+
+
+@pytest.mark.parametrize("name", [*sorted(p.name for p in CONFIGS.glob("*.json")),
+                                  "flat_node"])
+def test_verify_developable_is_the_classify_verdict(tmp_path, name):
+    doc = (_flat_node_doc() if name == "flat_node"
+           else json.loads((CONFIGS / name).read_text()))
+    doc["expect"] = {"developable": "yes"}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+
+    def verdicts(*tol):
+        opts = ["--tol-dev", repr(tol[0])] if tol else []
+        assert main(["classify", "--config", str(cfg), "--format", "json",
+                     "--out", str(tmp_path / "c.out"), *opts]) == 0
+        cls = json.loads((tmp_path / "c.out").read_text())
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "v.out"), *opts]) in (0, 1)
+        (got,) = json.loads((tmp_path / "v.out").read_text())["expectations"]
+        return cls, got["got"]
+
+    m = verdicts()[0]["max_abs_det"]
+    # tol_dev values that put max |det| below tol_dev, inside [tol_dev,
+    # 10 tol_dev] and above 10 tol_dev (tol_dev <= 0 where max |det| is 0)
+    for want, tol in (("yes", 2 * m if m else 1.0), ("borderline", m / 2),
+                      ("no", m / 20 if m else -1.0)):
+        cls, got = verdicts(tol)
+        assert cls["verdict"] == got == want

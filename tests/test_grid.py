@@ -238,16 +238,18 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("command,cfg,jets,frenets", [
-    ("verify", "proportional_normal_coeffs.json", 21, 4),
+    ("verify", "proportional_normal_coeffs.json", 15, 3),
+    ("classify", "proportional_normal_coeffs.json", 15, 3),
     ("surface", "proportional_normal_coeffs.json", 9, 2),
     ("surface", "example1.json", 7, 1),
 ])
 def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets):
     # One Frenet call (three curve jets) per grid: under the RMF the angle
     # table on its nodes and midpoints, then the s-grid with its panel
-    # midpoints; verify adds s +- h for the oracles and [s - h; s; s + h] for
-    # the K stencil.  Each grid but the table also takes three director jets,
-    # and an explicit theta one jet of its own.
+    # midpoints; verify adds s +- h for the oracles, and classify adds
+    # [s - h; s; s + h] for its K stencil, which verify does not run.  Each
+    # grid but the table also takes three director jets, and an explicit theta
+    # one jet of its own.
     jet_calls = _count_calls(monkeypatch, expr, "eval_jet")
     frenet_calls = _count_calls(monkeypatch, curve, "frenet")
     assert main([command, "--config", str(CONFIGS / cfg),

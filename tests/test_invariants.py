@@ -120,7 +120,7 @@ def test_constant_coefficients_rmf_is_curvature_line(helix):
     rep = inv.base_curve_report(surf, np.linspace(-4, 4, 33))
     assert rep.is_curvature_line_rodrigues
     assert not rep.is_curvature_line_frame
-    assert max(abs(r.res_curvature_line) for r in rep.samples) > 1e-3
+    assert max(np.abs(rep.table[:, inv.COLUMNS.index("res_curvature_line")]).tolist()) > 1e-3
 
 
 def test_normal_plane_rmf_is_curvature_line(helix):

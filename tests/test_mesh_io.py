@@ -9,7 +9,7 @@ from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
-from rmfruled.invariants import BaseCurveSample, base_curve_report
+from rmfruled.invariants import base_curve_report
 from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, samples_to_csv, tessellate,
                               write_obj, write_report)
 from rmfruled.ruled import RuledSurface, classify
@@ -262,7 +262,7 @@ def test_tangent_ruling_mesh_is_flat_shaded_obj():
 def test_csv_geodesic_column(geodesic_example):
     grid = [s for s in np.linspace(-5, 5, 51) if abs(s) > 1e-6]
     rep = base_curve_report(geodesic_example, grid)
-    text = samples_to_csv(rep.samples)
+    text = samples_to_csv(rep.table)
     lines = text.splitlines()
     header = lines[0].split(",")
     k_g_idx = header.index("k_g")
@@ -273,7 +273,7 @@ def test_csv_geodesic_column(geodesic_example):
 def test_csv_distribution_parameter_zero_for_tangent(helix):
     surf = make_surface(helix, RotationMinimizing(0.0), "1", "0", "0")
     rep = base_curve_report(surf, np.linspace(-4, 4, 21))
-    text = samples_to_csv(rep.samples)
+    text = samples_to_csv(rep.table)
     header, *rows = text.splitlines()
     p_idx = header.split(",").index("P")
     for row in rows:
@@ -283,20 +283,22 @@ def test_csv_distribution_parameter_zero_for_tangent(helix):
 def test_csv_empty_grid_header_only(helix):
     surf = make_surface(helix, RotationMinimizing(0.0), "1", "0", "0")
     rep = base_curve_report(surf, [])
-    text = samples_to_csv(rep.samples)
+    text = samples_to_csv(rep.table)
+    assert rep.table.shape == (0, len(CSV_COLUMNS))
     assert text == samples_to_csv([])
     assert text.splitlines()[0].startswith("s,kappa,tau")
     assert len(text.splitlines()) == 1
 
 
 def test_csv_equals_per_value_reference(geodesic_example):
-    rows = base_curve_report(geodesic_example, np.linspace(-5, 5, 21)).samples
-    rows.append(BaseCurveSample(-0.0, float("nan"), -float("nan"), 5e-324, 1e300,
-                                123456789.5, *[float(k) for k in range(9)]))
+    rows = np.vstack([
+        base_curve_report(geodesic_example, np.linspace(-5, 5, 21)).table,
+        [-0.0, float("nan"), -float("nan"), 5e-324, 1e300, 123456789.5,
+         *[float(k) for k in range(9)]]])
     def fmt(x):  # the retired per-value formatter, NaN branch included
         return "nan" if isinstance(x, float) and math.isnan(x) else "%.12g" % x
     reference = [",".join(CSV_COLUMNS)] + [
-        ",".join(fmt(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
+        ",".join(fmt(x) for x in r) for r in rows.tolist()]
     text = samples_to_csv(rows)
     assert text == "\n".join(reference) + "\n"
     assert text.splitlines()[-1].startswith("-0,nan,nan,4.94065645841e-324,1e+300,")
@@ -304,7 +306,7 @@ def test_csv_equals_per_value_reference(geodesic_example):
 
 def test_json_report_schema(rmf_polynomial):
     rep = classify(rmf_polynomial, 21, 5)
-    doc = json.loads(write_report(rep, [], "json"))
+    doc = json.loads(write_report(rep, "json"))
     assert doc["schema_version"] == 1
     assert doc["verdict"] in ("yes", "no", "borderline")
     assert "max_abs_det" in doc and "special_case" in doc
@@ -312,4 +314,4 @@ def test_json_report_schema(rmf_polynomial):
 
 def test_write_report_rejects_unknown_format(rmf_polynomial):
     with pytest.raises(ValueError):
-        write_report(None, [], "xml")
+        write_report(None, "xml")
