@@ -120,7 +120,8 @@ def test_constant_coefficients_rmf_is_curvature_line(helix):
     rep = inv.base_curve_report(surf, np.linspace(-4, 4, 33))
     assert rep.is_curvature_line_rodrigues
     assert not rep.is_curvature_line_frame
-    assert max(np.abs(rep.table[:, inv.COLUMNS.index("res_curvature_line")]).tolist()) > 1e-3
+    res = rep.table[:, inv.COLUMNS.index("res_curvature_line")]
+    assert max(np.abs(res).tolist()) > 1e-3
 
 
 def test_normal_plane_rmf_is_curvature_line(helix):

@@ -9,10 +9,11 @@ from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
-from rmfruled.invariants import base_curve_report
+from rmfruled.invariants import BaseCurveReport, base_curve_report
 from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, samples_to_csv, tessellate,
                               write_obj, write_report)
-from rmfruled.ruled import RuledSurface, classify
+from rmfruled.record import fields
+from rmfruled.ruled import ClassificationReport, RuledSurface, classify
 
 
 def read_obj(text: str) -> Mesh:
@@ -310,6 +311,23 @@ def test_json_report_schema(rmf_polynomial):
     assert doc["schema_version"] == 1
     assert doc["verdict"] in ("yes", "no", "borderline")
     assert "max_abs_det" in doc and "special_case" in doc
+
+
+def test_json_samples_are_the_table_rows(rmf_polynomial):
+    bc = base_curve_report(rmf_polynomial, np.linspace(-5, 5, 11))
+    edge = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300,
+            *[float(k) for k in range(9)]]
+    table = np.vstack([bc.table, edge])
+    bc = BaseCurveReport(**{**fields(bc), "table": table})
+    rep = ClassificationReport(**{**fields(classify(rmf_polynomial, 11, 5)),
+                                  "base_curve": bc})
+    text = write_report(rep, "json")
+    assert '"kappa": null' in text and '"tau": Infinity' in text
+    assert '"theta": -Infinity' in text and '"s": -0.0' in text
+    want = [{c: None if math.isnan(x) else x for c, x in zip(CSV_COLUMNS, row)}
+            for row in table.tolist()]
+    base = json.loads(text)["base_curve"]
+    assert base["samples"] == want and "table" not in base
 
 
 def test_write_report_rejects_unknown_format(rmf_polynomial):
