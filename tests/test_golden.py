@@ -4,8 +4,14 @@ Every subcommand runs on each bundled config (in the config's own output
 format), and all four run on the curve (s, s^3, s^4) over [-1, 1] under the
 RMF, whose curvature vanishes at the grid node s = 0: `classify` (as JSON,
 which holds the sample table too) and `verify` exclude that node, `frames`
-and `surface` stop with exit 3.  Each case records the exit code, the
-stderr text and the digest of the output file (null when none is written).
+and `surface` stop with exit 3.  Four more variants pin the paths where a
+float call decides for a failing grid sample, all four subcommands each
+(`classify` as JSON): ``cusp`` (|r'| = 0 at s = 0), ``pole`` (x1 = 1/s),
+``flat_explicit`` (the flat curve under an explicit theta, which needs N)
+and ``flat_pole`` (the flat curve with x1 = 1/s, where the director's
+error, probed before the frame's, ends `classify` and `verify`).  Each
+case records the exit code, the stderr text and the digest of the output
+file (null when none is written).
 ``frames`` and ``surface`` also run on each bundled config at ``--samples
 401`` (cases ``frames@401:...`` and ``surface@401:...``), and so do
 ``classify`` and ``verify`` with ``--format json`` (``classify@401:...``,
@@ -36,6 +42,21 @@ from rmfruled.cli import main
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMANDS = ("frames", "surface", "classify", "verify")
 FLAT_CURVE = {"x": "s", "y": "s^3", "z": "s^4", "s_range": [-1, 1]}
+RMF = {"mode": "rmf", "theta0": 0}
+# Variants of a bundled config, as (base config, {section: replacement}); a
+# section is replaced whole, a director entry by itself.
+VARIANTS = {
+    "flat_node": ("example2.json", {"curve": FLAT_CURVE, "theta": RMF}),
+    "cusp": ("example1.json",
+             {"curve": {"x": "s^3", "y": "s^2", "z": "s^4", "s_range": [-1, 1]}}),
+    "pole": ("example1.json",
+             {"curve": {"x": "s", "y": "s^2", "z": "s^3", "s_range": [-1, 1]},
+              "director": {"x1": "1/s"}}),
+    "flat_explicit": ("example1.json", {"curve": FLAT_CURVE,
+                                        "theta": {"mode": "explicit", "expr": "s"}}),
+    "flat_pole": ("example1.json", {"curve": FLAT_CURVE, "theta": RMF,
+                                    "director": {"x1": "1/s", "x2": "1", "x3": "0"}}),
+}
 
 
 def _cases():
@@ -43,7 +64,8 @@ def _cases():
              sorted(CONFIGS.glob("*.json")) for cmd in COMMANDS}
     for cmd in COMMANDS:
         fmt = ["--format", "json"] if cmd == "classify" else []
-        cases[f"{cmd}:flat_node"] = (cmd, None, fmt)
+        for variant in VARIANTS:
+            cases[f"{cmd}:{variant}"] = (cmd, variant, fmt)
     for cfg in sorted(CONFIGS.glob("*.json")):
         for cmd in ("frames", "surface"):
             cases[f"{cmd}@401:{cfg.name}"] = (cmd, cfg.name, ["--samples", "401"])
@@ -60,11 +82,12 @@ CASES = _cases()
 
 
 def _run(cmd: str, cfg_name, extra, work: Path) -> dict:
-    if cfg_name is None:
-        doc = json.loads((CONFIGS / "example2.json").read_text())
-        doc["curve"] = FLAT_CURVE
-        doc["theta"] = {"mode": "rmf", "theta0": 0}
-        cfg = work / "flat_node.json"
+    if cfg_name in VARIANTS:
+        base, changes = VARIANTS[cfg_name]
+        doc = json.loads((CONFIGS / base).read_text())
+        for key, value in changes.items():
+            doc[key] = {**doc[key], **value} if key == "director" else value
+        cfg = work / f"{cfg_name}.json"
         cfg.write_text(json.dumps(doc))
     else:
         cfg = CONFIGS / cfg_name
