@@ -204,8 +204,7 @@ def cmd_frames(job: JobConfig, out_path: str) -> int:
     fd, af = surface.frame(grid)
     table = np.column_stack([grid, fd.kappa, fd.tau, af.theta,
                              fd.T, fd.N, fd.B, af.U, af.V])
-    # A NaN row is where a float call raises: the first such raise ends the job.
-    ruled._float_path(surface.frame, grid, table, catch=())
+    ex._float_path(surface.frame, grid, table)
     write_atomic(out_path, mesh_io.csv_table(cols, table))
     return 0
 
@@ -250,7 +249,7 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
                 ("rho closed vs <N',NxT>", rho,
                  invariants.curvature_line_residual_numeric)):
             numeric = oracle(surface, grid)[usable]  # frames on G and G +- h, shared
-            ruled._float_path(lambda t: oracle(surface, t), grid[usable], numeric, ())
+            ex._float_path(lambda t: oracle(surface, t), grid[usable], numeric)
             _check(checks, name + " oracle", ruled._max_abs(closed[usable] - numeric),
                    invariants.TOL_FD)
         _check(checks, "tau_g = -k_g*k_n identity",

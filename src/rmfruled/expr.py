@@ -15,6 +15,11 @@ element equals the jet evaluated at that parameter alone, bit for bit.
 
 Exponents must be constant expressions (no ``s``); a non-integer exponent
 additionally requires a positive base.
+
+Every grid evaluation in the package keeps one rule, the float path: where
+a float call would raise, the grid gives NaN (or inf), and the float call
+there decides, naming the skip reason or ending the job with its own error.
+:func:`_float_path` is the one probe that makes those float calls.
 """
 
 from __future__ import annotations
@@ -168,6 +173,22 @@ def power(x, p: float):
 
 def _any(cond) -> bool:
     return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _float_path(fn, s: np.ndarray, values, catch=()):
+    """(ok, {index: error class name}) from ``fn(float(s[i]))`` at each row i
+    of ``values`` that is not all finite, in index order; ``ok`` is False where
+    it raised ``catch``.  Other errors propagate: with no ``catch``, the first."""
+    ok, failed = np.ones(len(s), dtype=bool), {}
+    finite = np.isfinite(values)  # one reduction where all are, as on most grids
+    for i in [] if finite.all() else np.flatnonzero(
+            ~finite.all(axis=tuple(range(1, finite.ndim)))).tolist():
+        try:
+            fn(float(s[i]))
+        except catch as err:
+            ok[i] = False
+            failed[i] = type(err).__name__
+    return ok, failed
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +505,17 @@ def eval_jet(e: "Expr | str", s) -> Jet3:
 
 
 def _eval_grid(e: Expr, grid: np.ndarray) -> Jet3:
-    # Float arithmetic overflows to inf and NaN without trapping, as numpy does
-    # with its errors ignored, but it raises on division by zero where numpy
-    # gives inf or NaN: a non-finite element is evaluated again on its own.
+    # Float arithmetic overflows to inf and NaN without trapping, as numpy with
+    # its errors ignored does, but raises on division by zero where numpy does not.
     try:
         with np.errstate(all="ignore"):
             j = _eval(e, Jet3(grid, 1.0))
     except (ArithmeticError, ValueError) as err:  # a math function failed
-        for t in grid.tolist():
-            eval_jet(e, t)
+        _float_path(lambda t: eval_jet(e, t), grid, np.full(grid.shape, np.nan))
         raise ExprDomainError(f"{err} on the grid") from err
-    fields = [np.full(grid.shape, f) for f in (j.value, j.d1, j.d2, j.d3)]
-    for t in grid[~np.isfinite(fields).all(axis=0)].tolist():
-        eval_jet(e, t)
+    fields = np.empty((4,) + grid.shape)
+    fields[0], fields[1], fields[2], fields[3] = j.value, j.d1, j.d2, j.d3
+    _float_path(lambda t: eval_jet(e, t), grid, fields.T)
     return Jet3(*fields)
 
 

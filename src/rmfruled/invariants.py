@@ -12,7 +12,7 @@ disagree in general:
 Every closed form here has a finite-difference oracle in this module that
 differences surface normals and the curve's unit tangent, reading T and |r'|
 at s and s +- h from the surface's cached frame.  Invariants and oracles
-take floats or 1-D grids; where a float call raises, a grid gives NaN.
+take floats or 1-D grids, under the float path of :mod:`rmfruled.ruled`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from . import expr as ex
 from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot
-from .errors import TangentRuling
+from .errors import GeometryError, TangentRuling
 from .frame import _cos_sin, frame_angular_velocity
 from .record import Record
-from .ruled import FD_STEP, RuledSurface, _director_scale, _float_path, _stacked
+from .ruled import FD_STEP, RuledSurface, _director_scale, _stacked
 
 # Closed-form residuals are exact identities; finite-difference-backed
 # checks live in a separate error regime.
@@ -173,11 +173,9 @@ def base_curve_report(surface: RuledSurface, s_values,
     s = np.asarray(s_values, dtype=float)
     jets, _, _ = surface._row(s)
     fd, af = surface.frame(s)
-    # The float path decides where the grid has no jets or no frame.
-    failed = _float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
-                         s, np.column_stack([jets[0].value, af.U]))
+    framed, _ = ex._float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
+                               s, np.column_stack([jets[0].value, af.U]), GeometryError)
     _director_scale(jets)
-    framed = ~np.isin(np.arange(len(s)), list(failed))
     x1, x2, x3 = (j.value for j in jets)
     w2 = x2 * x2 + x3 * x3
     tangent = framed & (w2 <= EPS_REG ** 2)

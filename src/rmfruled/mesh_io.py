@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
+from . import expr as ex
 from .curve import vec_cross, vec_dot, vec_norm
 from .invariants import COLUMNS as CSV_COLUMNS, BaseCurveReport
 from .record import Record, fields
-from .ruled import (ClassificationReport, RuledSurface, _director_scale,
-                    _float_path)
+from .ruled import ClassificationReport, RuledSurface, _director_scale
 
 OBJ_FMT = "%.9g"
 CSV_FMT = "%.12g"
@@ -34,7 +34,7 @@ class Mesh(Record):
     and normals are omitted on export.
     """
 
-    __slots__ = ("vertices", "normals", "faces", "flat_shaded", "n_s", "n_v")
+    __slots__ = ("vertices", "normals", "faces", "flat_shaded")
 
 
 def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
@@ -51,7 +51,7 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
     verts = surface.point(s_vals, v_vals).swapaxes(0, 1)
-    _float_path(lambda s: surface.point(s, v_vals), s_vals, verts, catch=())
+    ex._float_path(lambda s: surface.point(s, v_vals), s_vals, verts)
     _director_scale(surface._row(s_vals)[0])
     verts = verts.reshape(-1, 3)
     norms = surface.normal(s_vals, v_vals).swapaxes(0, 1).reshape(-1, 3)
@@ -72,7 +72,7 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     flip = vec_dot(vec_cross(p1 - p0, p2 - p0), mean) < 0.0
     faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    return Mesh(verts, norms, faces, bool(missing.any()), n_s, n_v)
+    return Mesh(verts, norms, faces, bool(missing.any()))
 
 
 def format_rows(row: str, table) -> str:

@@ -7,7 +7,8 @@ surface points/normals, finite-difference fundamental forms as an
 independent oracle, and the developability / special-case classifier.
 All primed quantities are per unit arc length unless stated otherwise.
 Every per-s method takes a float s or a 1-D grid of s: where a float call
-raises, a grid gives NaN, and each other element equals the float call.
+raises, a grid gives NaN (the float path, probed by :func:`expr._float_path`),
+and each other element equals the float call.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def _widen(x, ok):
 
 
 def _keyed(fn):
-    """``fn`` of a float or a grid, cached by the float or the grid's values.
-    A grid call that raises is redone at the samples where ``fn`` alone does
-    not raise; the others get NaN."""
+    """``fn`` of a float or a grid, cached by the float or the grid's values; a
+    grid call that raises is redone where ``fn`` alone does not, NaN elsewhere."""
     @functools.lru_cache(maxsize=8192)
     def cached(key):
         if not isinstance(key, tuple):
@@ -59,8 +59,7 @@ def _keyed(fn):
         try:
             return fn(s)
         except _FAILURES:
-            ok = ~np.isin(np.arange(len(s)), list(_float_path(
-                fn, s, np.full(len(s), np.nan), _FAILURES)))
+            ok, _ = ex._float_path(fn, s, np.full(len(s), np.nan), _FAILURES)
             return _widen(fn(s[ok]), ok)
 
     def call(s):
@@ -76,20 +75,6 @@ def _stacked(fn, grids, axis=0) -> list:
     if not isinstance(grids[0], np.ndarray):
         return [fn(g) for g in grids]
     return np.split(fn(np.concatenate(grids)), len(grids), axis=axis)
-
-
-def _float_path(fn, s: np.ndarray, values, catch=GeometryError) -> dict:
-    """{index: exception class name} where ``fn`` alone raises ``catch``,
-    calling it in order at each sample of ``s`` whose ``values`` hold NaN, so
-    the float path decides there; any other error propagates."""
-    failed = {}
-    bad = np.isnan(values).any(axis=tuple(range(1, np.ndim(values))))
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            fn(float(s[i]))
-        except catch as err:
-            failed[i] = type(err).__name__
-    return failed
 
 
 def _max_abs(a) -> float:
@@ -331,11 +316,11 @@ def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_
     below ``tol_dev``, "no" above ``10 tol_dev`` and "borderline" between.
     Raises :class:`ZeroDirector` if the director vanishes at every node."""
     dets = surface.ruling_det(s_vals)
-    failed = _float_path(lambda s: (surface.coefficients(s), surface.ruling_det(s)),
-                         s_vals, dets)
+    ok, failed = ex._float_path(
+        lambda s: (surface.coefficients(s), surface.ruling_det(s)), s_vals, dets,
+        GeometryError)
     skipped = [(float(s_vals[i]), name) for i, name in failed.items()]
     max_abs = _director_scale(surface._row(s_vals)[0])
-    ok = ~np.isin(np.arange(len(s_vals)), list(failed))
     if not ok.any():
         raise GeometryError("no usable samples on the classification grid")
     max_det = float(np.max(np.abs(dets[ok])))
@@ -382,13 +367,11 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     K = np.empty((len(s_sub), len(v_interior)))
     for j, v in enumerate(v_interior):
         K[:, j] = surface.sample(s_sub, v).K
-    for i, j in np.argwhere(~np.isfinite(K)).tolist():  # the float path decides
-        try:
-            K[i, j] = surface.sample(float(s_sub[i]), v_interior[j]).K
-        except GeometryError:
-            continue
-        if not np.isfinite(K[i, j]):
-            skipped.append((float(s_sub[i]), "NonFiniteK"))
+    # K is not finite there, although the float call does not raise either.
+    unexplained = np.transpose([~np.isfinite(k) & ex._float_path(
+        lambda s: surface.sample(s, v), s_sub, k, GeometryError)[0]
+        for v, k in zip(v_interior, K.T)]).reshape(K.shape)
+    skipped += [(float(s_sub[i]), "NonFiniteK") for i in np.nonzero(unexplained)[0]]
     max_K = float(np.abs(K[np.isfinite(K)]).max(initial=0.0))
 
     if verdict == "yes" and max_K > tol_K:

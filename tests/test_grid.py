@@ -8,7 +8,9 @@ vanishes at the node s = 0 (the RMF bridges it); a cusp whose tangent
 vanishes there (the grid Frenet call raises, so the grid is redone sample by
 sample); and a director 1/s, whose grid evaluation raises at s = 0.  A grid
 stacked from two grids must give what the two give apart, and one ``verify``
-or ``surface`` run makes a pinned number of curve passes.
+or ``surface`` run makes a pinned number of curve passes.  The probe that
+makes the float calls at failing samples, ``expr._float_path``, has a
+contract test of its own.
 """
 
 import json
@@ -21,7 +23,7 @@ from conftest import CONFIGS, make_surface
 from rmfruled import curve, expr, ruled
 from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
-from rmfruled.errors import DegenerateTangent, VanishingCurvature
+from rmfruled.errors import DegenerateTangent, GeometryError, VanishingCurvature
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.record import fields
 from rmfruled.ruled import FD_STEP, RuledSurface
@@ -153,16 +155,51 @@ def test_stacked_grids_equal_separate_calls(name):
         assert np.isfinite(np.delete(af.U, 20, 0)).all()
 
 
+def test_float_path_probe_contract():
+    s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    rows = np.ones((6, 3))
+    rows[4, 2], rows[1, 0], rows[3] = np.nan, -np.inf, [np.nan, np.inf, 1.0]
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        if t == 1.5:
+            raise VanishingCurvature("flat")
+        if t == 2.0:
+            raise ZeroDivisionError("pole")
+
+    # Only rows holding NaN or inf are probed, in index order, as Python floats.
+    with pytest.raises(ZeroDivisionError):
+        expr._float_path(fn, s, rows, (VanishingCurvature,))
+    assert calls == [0.5, 1.5, 2.0] and all(type(t) is float for t in calls)
+    with pytest.raises(VanishingCurvature):  # no catch: the first failure raises
+        expr._float_path(fn, s, rows)
+    # ok is False exactly where the caught error was raised.
+    calls.clear()
+    ok, failed = expr._float_path(fn, s, rows, (VanishingCurvature, ArithmeticError))
+    assert calls == [0.5, 1.5, 2.0]
+    assert ok.tolist() == [True, True, True, False, False, True]
+    assert failed == {3: "VanishingCurvature", 4: "ZeroDivisionError"}
+    # A 1-D grid of values, and an all-finite grid, which makes no call.
+    calls.clear()
+    ok, failed = expr._float_path(fn, s, np.array([1, np.inf, 1, 1, 1, np.nan]))
+    assert calls == [0.5, 2.5] and ok.all() and failed == {}
+    calls.clear()
+    ok, failed = expr._float_path(fn, s, rows[[0, 2, 5]][[0, 1, 2, 0, 1, 2]])
+    assert calls == [] and ok.all() and failed == {}
+    assert expr._float_path(fn, s[:0], np.empty((0, 3)))[0].shape == (0,)
+
+
 def test_failing_samples_take_the_float_exception_class():
     flat, _ = SURFACES["flat_node"]
     surf = flat()
     G = np.linspace(-1, 1, 101)
-    failed = ruled._float_path(surf.frame, G, surf.frame(G)[1].U)
+    _, failed = expr._float_path(surf.frame, G, surf.frame(G)[1].U, GeometryError)
     assert failed == {50: VanishingCurvature.__name__}
     cusp, _ = SURFACES["cusp"]
     surf = cusp()
     G = np.linspace(-1, 1, 51)
-    assert ruled._float_path(surf.frame, G, surf.frame(G)[1].U) == {
+    assert expr._float_path(surf.frame, G, surf.frame(G)[1].U, GeometryError)[1] == {
         25: DegenerateTangent.__name__}
     rep = ruled.classify(surf, n_s=51, n_v=5)
     assert [0.0, "DegenerateTangent"] in [list(x) for x in rep.skipped_samples]

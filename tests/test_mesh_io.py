@@ -17,7 +17,7 @@ from rmfruled.ruled import ClassificationReport, RuledSurface, classify
 
 
 def read_obj(text: str) -> Mesh:
-    """Parse the OBJ subset produced by ``write_obj`` (grid shape not recovered)."""
+    """Parse the OBJ subset produced by ``write_obj``."""
     verts, norms, faces = [], [], []
     for line in text.splitlines():
         parts = line.split()
@@ -30,8 +30,7 @@ def read_obj(text: str) -> Mesh:
         elif parts[0] == "f":
             faces.append([int(p.split("//")[0]) - 1 for p in parts[1:4]])
     normals = np.array(norms) if norms else np.full((len(verts), 3), np.nan)
-    return Mesh(np.array(verts), normals, np.array(faces, dtype=int),
-                not norms, 0, 0)
+    return Mesh(np.array(verts), normals, np.array(faces, dtype=int), not norms)
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +235,7 @@ def _hand_built_mesh(flat_shaded):
     normals = (np.full((3, 3), np.nan) if flat_shaded else
                np.array([[-0.0, 1.0, 0.0], [0.6, -0.8, 5e-324], [1e-300, 0.0, -1.0]]))
     faces = np.array([[0, 1, 2], [big, big + 1, 2 ** 40], [2, 0, 1]])
-    return Mesh(vertices, normals, faces, flat_shaded, 0, 0)
+    return Mesh(vertices, normals, faces, flat_shaded)
 
 
 @pytest.mark.parametrize("flat_shaded", [False, True])
