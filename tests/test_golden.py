@@ -9,9 +9,14 @@ float call decides for a failing grid sample, all four subcommands each
 (`classify` as JSON): ``cusp`` (|r'| = 0 at s = 0), ``pole`` (x1 = 1/s),
 ``flat_explicit`` (the flat curve under an explicit theta, which needs N)
 and ``flat_pole`` (the flat curve with x1 = 1/s, where the director's
-error, probed before the frame's, ends `classify` and `verify`).  Each
-case records the exit code, the stderr text and the digest of the output
-file (null when none is written).
+error, probed before the frame's, ends `classify` and `verify`).  Five
+more end in exit 3 (``pole_x3`` in all but `frames`): ``pole_x3`` (x3 =
+1/s, which a probe of x1 alone would miss), ``cusp_rmf`` (the cusp under
+the RMF, whose angle table meets it), ``theta_pole`` (explicit theta 1/s),
+``const_fail`` (x1 = exp(1000), failing at every sample) and ``fast_sqrt``
+(|r'| = 1e110 on [0, 1], with x2 = sqrt(s)).  Each case records the exit
+code, the stderr text and the digest of the output file (null when none is
+written).
 ``frames`` and ``surface`` also run on each bundled config at ``--samples
 401`` (cases ``frames@401:...`` and ``surface@401:...``), and so do
 ``classify`` and ``verify`` with ``--format json`` (``classify@401:...``,
@@ -42,13 +47,13 @@ from rmfruled.cli import main
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMANDS = ("frames", "surface", "classify", "verify")
 FLAT_CURVE = {"x": "s", "y": "s^3", "z": "s^4", "s_range": [-1, 1]}
+CUSP_CURVE = {"x": "s^3", "y": "s^2", "z": "s^4", "s_range": [-1, 1]}
 RMF = {"mode": "rmf", "theta0": 0}
 # Variants of a bundled config, as (base config, {section: replacement}); a
 # section is replaced whole, a director entry by itself.
 VARIANTS = {
     "flat_node": ("example2.json", {"curve": FLAT_CURVE, "theta": RMF}),
-    "cusp": ("example1.json",
-             {"curve": {"x": "s^3", "y": "s^2", "z": "s^4", "s_range": [-1, 1]}}),
+    "cusp": ("example1.json", {"curve": CUSP_CURVE}),
     "pole": ("example1.json",
              {"curve": {"x": "s", "y": "s^2", "z": "s^3", "s_range": [-1, 1]},
               "director": {"x1": "1/s"}}),
@@ -56,6 +61,14 @@ VARIANTS = {
                                         "theta": {"mode": "explicit", "expr": "s"}}),
     "flat_pole": ("example1.json", {"curve": FLAT_CURVE, "theta": RMF,
                                     "director": {"x1": "1/s", "x2": "1", "x3": "0"}}),
+    "pole_x3": ("example1.json", {"director": {"x3": "1/s"}}),
+    "cusp_rmf": ("example1.json", {"curve": CUSP_CURVE, "theta": RMF}),
+    "theta_pole": ("example1.json", {"theta": {"mode": "explicit", "expr": "1/s"}}),
+    "const_fail": ("example1.json", {"director": {"x1": "exp(1000)"}}),
+    "fast_sqrt": ("example1.json",
+                  {"curve": {"x": "1e110*s", "y": "cos(s)", "z": "sin(s)",
+                             "s_range": [0, 1]},
+                   "director": {"x2": "sqrt(s)"}}),
 }
 
 
