@@ -9,11 +9,13 @@ Arc-length derivatives elsewhere in the package are obtained via the chain
 rule d/ds = (1/|r'|) d/dt, never by numeric reparametrization.
 
 Curve evaluation, tangents and Frenet data take a float or a 1-D grid of
-parameters.  On a grid every vector gains a leading sample axis, and a
-curvature-free sample gets NaN N, B and tau instead of raising
-:class:`VanishingCurvature`.  A speed |r'| above ``MAX_SPEED`` is out of the
-float range of the formulas, not a degenerate point: float and grid alike
-raise ``FloatingPointError`` there, which no caller counts as a skipped sample.
+parameters.  On a grid every vector gains a leading sample axis, and a grid
+follows the float path of :mod:`rmfruled.expr`: where the float call raises,
+the grid's data are NaN instead (a curvature-free sample has NaN N, B and tau;
+a sample without a tangent, NaN in every field derived from r').  Two errors
+are not failing samples, and a grid raises them as a float does: a parameter
+outside the range (:class:`ParameterOutOfRange`), and a speed |r'| above
+``MAX_SPEED``, out of the float range of the formulas (``FloatingPointError``).
 """
 
 from __future__ import annotations
@@ -165,22 +167,23 @@ def _unit_tangent(d1: np.ndarray, t):
     # |r'|^2 overflows from about 1.3e154: check the largest component first.
     _check_speed(np.max(np.abs(d1), axis=-1) > MAX_SPEED, d1, t)
     speed = vec_norm(d1)
-    bad = _first(speed <= EPS_REG, t)
-    if bad is not None:
-        raise DegenerateTangent(f"|r'|={np.ravel(speed)[bad[0]]:.3e} at t={bad[1]}")
+    speed = _guard(speed, speed <= EPS_REG,
+                   lambda: DegenerateTangent(f"|r'|={speed:.3e} at t={t}"))
     return d1 / _per_sample(speed), speed
 
 
 def frenet(c: CurveDef, t) -> FrenetData:
     """Full Frenet apparatus at a float ``t``, raising where the frame is
-    undefined; on a grid, curvature-free samples get NaN N, B and tau."""
+    undefined; on a grid, NaN data there instead."""
     pos, d1, d2, d3 = eval_curve(c, t)
     T, speed = _unit_tangent(d1, t)
     _check_speed(speed > MAX_SPEED, d1, t)
     cr = vec_cross(d1, d2)
     ncr = vec_norm(cr)
     kappa = ncr / ex.power(speed, 3)
-    ncr = _guard(ncr, kappa <= EPS_REG,
+    # a grid row without a tangent has NaN kappa, and no frame either
+    ncr = _guard(ncr, ~(kappa > EPS_REG) if isinstance(kappa, np.ndarray)
+                 else kappa <= EPS_REG,
                  lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
     B = cr / _per_sample(ncr)
     N = vec_cross(B, T)

@@ -16,9 +16,10 @@ element equals the jet evaluated at that parameter alone, bit for bit.
 Exponents must be constant expressions (no ``s``); a non-integer exponent
 additionally requires a positive base.
 
-Every grid evaluation in the package keeps one rule, the float path: where
-a float call would raise, the grid gives NaN (or inf), and the float call
-there decides, naming the skip reason or ending the job with its own error.
+Every grid evaluation in the package, from these jets up, keeps one rule,
+the float path: a grid call does not raise for a failing sample; where the
+float call would raise, the grid gives NaN, and the float call there decides,
+naming the skip reason or ending the job with its own error.
 :func:`_float_path` is the one probe that makes those float calls.
 """
 
@@ -146,20 +147,24 @@ def _reciprocal(g: Jet3) -> Jet3:
 # that rounds like ``math`` (sin, cos, sqrt, and ``np.float_power`` for
 # ``**``), and otherwise through ``math`` element by element (numpy's tan,
 # arctan, exp and log differ from it in the last ulp), so grid and per-point
-# evaluation agree bit for bit.
+# evaluation agree bit for bit.  Where ``math`` raises, an array element is
+# NaN.
 
 _UFUNCS = {math.sin: np.sin, math.cos: np.cos, math.sqrt: np.sqrt}
+
+
+def _or_nan(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except (ArithmeticError, ValueError):  # math's range and domain errors
+        return math.nan
 
 
 def _apply(fn, x):
     if not isinstance(x, np.ndarray):
         return fn(x)
     ufunc = _UFUNCS.get(fn)
-    if ufunc is None:
-        return np.array([fn(v) for v in x.tolist()])
-    if fn is not math.sqrt and np.isinf(x).any():
-        raise ValueError("math domain error")  # as math.sin/math.cos raise
-    return ufunc(x)
+    return ufunc(x) if ufunc else np.array([_or_nan(fn, v) for v in x.tolist()])
 
 
 def power(x, p: float):
@@ -171,8 +176,9 @@ def power(x, p: float):
     return x ** p
 
 
-def _any(cond) -> bool:
-    return cond.any() if isinstance(cond, np.ndarray) else cond
+def _on_float(cond) -> bool:
+    """``cond`` at a float; False on a grid (its failing rows: :func:`_eval_grid`)."""
+    return not isinstance(cond, np.ndarray) and cond
 
 
 def _float_path(fn, s: np.ndarray, values, catch=()):
@@ -267,10 +273,8 @@ def _tokenize(text: str):
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
-        elif m.group("op") is not None:
+        else:
             tokens.append(("op", m.group("op"), m.start("op")))
-        else:  # pure whitespace tail
-            break
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -431,7 +435,7 @@ def to_string(e: Expr) -> str:
 
 def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
     x = g.value
-    if _any(x < 0) and p != round(p):
+    if _on_float(x < 0) and p != round(p):
         raise ExprDomainError("negative base with non-integer exponent", node)
     zero = x == 0.0
     fs = []
@@ -443,12 +447,14 @@ def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
             fs.append(0.0)
             continue
         q = p - k
-        if q < 0 and _any(zero):
+        if q < 0 and _on_float(zero):
             raise ExprDomainError("zero base with negative exponent", node)
-        at_zero = coef if q == 0 else 0.0
-        f = coef * power(x, q)  # finite at a zero base, since q >= 0 there
-        fs.append(np.where(zero, at_zero, f) if isinstance(x, np.ndarray)
-                  else at_zero if zero else f)
+        f = coef * power(x, q)  # inf at a zero base of a grid if q < 0
+        if not q < 0:  # a zero base takes the exact limit
+            at_zero = coef if q == 0 else 0.0
+            f = (np.where(zero, at_zero, f) if isinstance(x, np.ndarray)
+                 else at_zero if zero else f)
+        fs.append(f)
     return compose(g, *fs)
 
 
@@ -469,7 +475,7 @@ def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
         return compose(g, _apply(math.atan, x), 1.0 / d, -2.0 * x / power(d, 2),
                        (6.0 * x * x - 2.0) / power(d, 3))
     if name == "sqrt":
-        if _any(x <= 0.0):
+        if _on_float(x <= 0.0):
             raise ExprDomainError("sqrt needs a positive argument for differentiation",
                                   node)
         r = _apply(math.sqrt, x)
@@ -478,10 +484,12 @@ def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
         v = _apply(math.exp, x)
         return compose(g, v, v, v, v)
     if name == "log":
-        if _any(x <= 0.0):
+        if _on_float(x <= 0.0):
             raise ExprDomainError("log of a non-positive value", node)
-        return compose(g, _apply(math.log, x), 1.0 / x, -1.0 / power(x, 2),
-                       2.0 / power(x, 3))
+        v = _apply(math.log, x)
+        if isinstance(x, np.ndarray):  # NaN wherever the log is: x^0 drops a NaN
+            x = np.where(np.isnan(v), np.nan, x)
+        return compose(g, v, 1.0 / x, -1.0 / power(x, 2), 2.0 / power(x, 3))
     if name == "abs":
         sgn = 1.0 * (x > 0) - 1.0 * (x < 0)
         return compose(g, abs(x), sgn, 0.0, 0.0)
@@ -492,7 +500,9 @@ def eval_jet(e: "Expr | str", s) -> Jet3:
     """Evaluate an expression (tree or source text) with derivatives at ``s``,
     a float or a 1-D numpy array (then every field of the jet is an array).
 
-    A grid raises whatever the first failing parameter raises on its own.
+    A float raises :class:`ExprDomainError` where the expression is undefined
+    or leaves the float range of ``math``; a grid does not raise, and its row
+    is NaN in every field exactly where the float evaluation there raises.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -505,17 +515,18 @@ def eval_jet(e: "Expr | str", s) -> Jet3:
 
 
 def _eval_grid(e: Expr, grid: np.ndarray) -> Jet3:
-    # Float arithmetic overflows to inf and NaN without trapping, as numpy with
-    # its errors ignored does, but raises on division by zero where numpy does not.
+    # With numpy's errors ignored, a row holds inf or NaN where the float call
+    # raises (and where it overflows without raising: the float path tells them
+    # apart).  A subexpression without ``s`` raises here, failing every row.
+    fields = np.full((4,) + grid.shape, np.nan)
     try:
         with np.errstate(all="ignore"):
             j = _eval(e, Jet3(grid, 1.0))
-    except (ArithmeticError, ValueError) as err:  # a math function failed
-        _float_path(lambda t: eval_jet(e, t), grid, np.full(grid.shape, np.nan))
-        raise ExprDomainError(f"{err} on the grid") from err
-    fields = np.empty((4,) + grid.shape)
+    except (ExprError, ArithmeticError, ValueError):
+        return Jet3(*fields)
     fields[0], fields[1], fields[2], fields[3] = j.value, j.d1, j.d2, j.d3
-    _float_path(lambda t: eval_jet(e, t), grid, fields.T)
+    ok, _ = _float_path(lambda t: eval_jet(e, t), grid, fields.T, ExprError)
+    fields[:, ~ok] = np.nan
     return Jet3(*fields)
 
 
@@ -537,7 +548,7 @@ def _eval(e: Expr, sj: Jet3) -> Jet3:
             return _eval(left, sj) * _eval(right, sj)
         case BinOp("/", left, right):
             denom = _eval(right, sj)
-            if _any(denom.value == 0.0):
+            if _on_float(denom.value == 0.0):
                 raise ExprDomainError("division by zero", right)
             return _eval(left, sj) * _reciprocal(denom)
         case BinOp("^", left, right):

@@ -108,7 +108,9 @@ def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float) -> floa
     samples and re-extracts theta where the principal normal exists again.
     The 2*pi branch is chosen closest to the incoming angle.
     """
-    pts, tans, _ = tangent_data(c, np.linspace(t0, t1, 33))
+    sub = np.linspace(t0, t1, 33)
+    pts, tans, _ = tangent_data(c, sub)
+    ex._float_path(lambda t: tangent_data(c, t), sub, tans)  # the first failure raises
     fd0 = frenet(c, t0)  # endpoints must admit a Frenet frame
     af0 = adapted_frame(fd0, theta0, 0.0)
     U, _ = double_reflection(pts, tans, af0.U)
@@ -127,8 +129,11 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum; intervals where the curvature vanishes are bridged by
     double reflection.  The rates come from one Frenet call on the nodes
-    stacked on the midpoints.  Returns theta aligned with the grid, kept
-    unwrapped.  ``node_rates``, if given, receives the rates at the nodes
+    stacked on the midpoints.  A node or midpoint without a tangent (a cusp,
+    or a curve undefined there) has no rate either, and the bridge across it,
+    whose sub-samples hold the nodes and midpoints it spans, ends the job
+    with the float call's error there.  Returns theta aligned with the grid,
+    kept unwrapped.  ``node_rates``, if given, receives the rates at the nodes
     (NaN if flat).
     """
     grid = np.asarray(grid, dtype=float)

@@ -171,10 +171,11 @@ def base_curve_report(surface: RuledSurface, s_values,
     that vanishes at every sample raises :class:`ZeroDirector`.
     """
     s = np.asarray(s_values, dtype=float)
-    jets, _, _ = surface._row(s)
+    jets, X, _ = surface._row(s)
     fd, af = surface.frame(s)
+    # X is NaN wherever a coefficient, T, U or V is (U at a flat sample)
     framed, _ = ex._float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
-                               s, np.column_stack([jets[0].value, af.U]), GeometryError)
+                               s, X, GeometryError)
     _director_scale(jets)
     x1, x2, x3 = (j.value for j in jets)
     w2 = x2 * x2 + x3 * x3

@@ -6,9 +6,10 @@ product-rule numeric path for any policy), the distribution parameter,
 surface points/normals, finite-difference fundamental forms as an
 independent oracle, and the developability / special-case classifier.
 All primed quantities are per unit arc length unless stated otherwise.
-Every per-s method takes a float s or a 1-D grid of s: where a float call
-raises, a grid gives NaN (the float path, probed by :func:`expr._float_path`),
-and each other element equals the float call.
+Every per-s method takes a float s or a 1-D grid of s, under the float path of
+:mod:`rmfruled.expr` that every layer below keeps: where a float call raises,
+a grid gives NaN, and each other element equals the float call.  Callers that
+must say why a sample failed ask the float call (:func:`expr._float_path`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (CylindricalPoint, GeometryError,
                      RequiresRotationMinimizingFrame, SingularPoint,
                      TangentRuling, ZeroDirector)
 from .frame import FrameField, _cos_sin, frame_derivatives
-from .record import Record, fields
+from .record import Record
 
 # Finite-difference step for the fundamental-form oracle; fixed for
 # reproducible golden values.
@@ -32,35 +33,11 @@ FD_STEP = 1e-4
 TOL_DEV = 1e-7
 TOL_K = 1e-5
 
-# What a float evaluation may raise; a grid gives NaN at such a sample.
-_FAILURES = (GeometryError, ex.ExprError, ArithmeticError)
-
-
-def _widen(x, ok):
-    """Grid data (records and tuples of arrays) computed at the samples
-    where ``ok`` holds, widened to the whole grid with NaN elsewhere."""
-    if isinstance(x, tuple):
-        return tuple(_widen(v, ok) for v in x)
-    if isinstance(x, Record):
-        return type(x)(*(_widen(v, ok) for v in fields(x).values()))
-    out = np.full(ok.shape + np.shape(x)[1:], np.nan)
-    out[ok] = x
-    return out
-
-
 def _keyed(fn):
-    """``fn`` of a float or a grid, cached by the float or the grid's values; a
-    grid call that raises is redone where ``fn`` alone does not, NaN elsewhere."""
+    """``fn`` of a float or a grid, cached by the float or the grid's values."""
     @functools.lru_cache(maxsize=8192)
     def cached(key):
-        if not isinstance(key, tuple):
-            return fn(key)
-        s = np.array(key, dtype=float)
-        try:
-            return fn(s)
-        except _FAILURES:
-            ok, _ = ex._float_path(fn, s, np.full(len(s), np.nan), _FAILURES)
-            return _widen(fn(s[ok]), ok)
+        return fn(np.array(key, dtype=float) if isinstance(key, tuple) else key)
 
     def call(s):
         return cached(tuple(s.tolist()) if isinstance(s, np.ndarray) else float(s))

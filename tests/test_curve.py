@@ -5,6 +5,8 @@ from rmfruled.curve import (MAX_SPEED, CurveDef, eval_curve, frenet,
                             tangent_data, validate_regular, vec_cross)
 from rmfruled.errors import (DegenerateTangent, ParameterOutOfRange,
                              VanishingCurvature)
+from rmfruled.expr import ExprDomainError
+from rmfruled.record import fields
 
 
 def test_helix_position_and_velocity(helix):
@@ -150,11 +152,28 @@ def test_grid_frenet_equals_pointwise(xyz, lo, hi):
 
 
 def test_grid_degenerate_tangent_and_range_raise():
-    c = CurveDef.from_strings("s^3", "s^2", "0", -1, 1)
-    with pytest.raises(DegenerateTangent, match="at t=0.0"):
-        frenet(c, np.linspace(-1, 1, 5))
-    with pytest.raises(ParameterOutOfRange, match="t=2.0"):
-        tangent_data(c, np.array([0.5, 2.0, 3.0]))
+    # A failing sample is NaN on a grid, in every field the float call would
+    # derive from r' (the position stays where r exists), and the others equal
+    # the float call bit for bit; only a parameter out of range raises.
+    t = np.linspace(-1, 1, 5)
+    for curve, failing in ((("s^3", "s^2", "0"), DegenerateTangent),  # |r'| = 0
+                           (("s", "1/s", "s^2"), ExprDomainError)):   # a pole
+        c = CurveDef.from_strings(*curve, -1, 1)
+        fd = frenet(c, t)
+        with pytest.raises(failing, match=r"at t=0\.0$|in 's'$"):
+            frenet(c, 0.0)
+        assert all(np.isnan(v[2]).all() for k, v in fields(fd).items()
+                   if k != "position")
+        for i in (0, 1, 3, 4):
+            want = frenet(c, float(t[i]))
+            for k, v in fields(fd).items():
+                assert np.asarray(v[i]).tobytes() == np.asarray(
+                    getattr(want, k), dtype=float).tobytes(), (curve, k, i)
+        _, T, speed = tangent_data(c, t)
+        assert np.isnan(T[2]).all() and np.isnan(speed[2])
+        assert np.isfinite(np.delete(T, 2, 0)).all()
+        with pytest.raises(ParameterOutOfRange, match="t=2.0"):
+            tangent_data(c, np.array([0.5, 2.0, 3.0]))
 
 
 def test_max_speed_is_the_last_speed_whose_cube_is_finite():

@@ -191,11 +191,21 @@ def _bits(j):
 
 
 def _assert_grid_matches_points(e, grid):
+    """Each grid row is NaN in every field exactly where the float evaluation
+    raises, and equal to it bit for bit elsewhere.  Returns the rows that are
+    NaN."""
     jg = ex.eval_jet(e, grid)
+    failed = []
     for k, s in enumerate(grid.tolist()):
-        jp = ex.eval_jet(e, s)
-        assert _bits(jp) == [np.asarray(f[k]).tobytes() for f in
-                             (jg.value, jg.d1, jg.d2, jg.d3)], (e, s)
+        row = [f[k] for f in (jg.value, jg.d1, jg.d2, jg.d3)]
+        try:
+            jp = ex.eval_jet(e, s)
+        except ex.ExprDomainError:
+            assert np.isnan(row).all(), (e, s)
+            failed.append(k)
+            continue
+        assert _bits(jp) == [np.asarray(f).tobytes() for f in row], (e, s)
+    return failed
 
 
 @pytest.mark.parametrize("text,lo,hi", [
@@ -218,26 +228,32 @@ def test_grid_jet_equals_pointwise_jets(text, lo, hi):
        st.floats(min_value=0.01, max_value=3.0))
 @settings(max_examples=150, deadline=None)
 def test_grid_jet_property(e, lo, width):
-    grid = np.linspace(lo, lo + width, 9)
-    try:
-        ex.eval_jet(e, grid)
-    except ex.ExprDomainError:
-        # the grid fails only where some parameter fails on its own
-        with pytest.raises(ex.ExprDomainError):
-            for s in grid.tolist():
-                ex.eval_jet(e, s)
-        return
-    _assert_grid_matches_points(e, grid)
+    # a grid never raises; its rows follow the float evaluation, row by row
+    _assert_grid_matches_points(e, np.linspace(lo, lo + width, 9))
+
+
+# The rows of np.linspace(lo, hi, 11) where each float evaluation raises: at a
+# pole, outside a domain, past the float range, and (a failing subexpression
+# without s) at every row.
+_FAILING_ROWS = {
+    "log(s)": range(6), "sqrt(s)": range(6), "1/s": [5], "s^-1": [5],
+    "s^0.5": range(6), "exp(s)": range(1, 11), "tan(1/s)": [5], "sin(1/s)": [5],
+    "atan(1/s)": [5], "log(s)^0": range(6), "(1/s)^0": [5],
+    "exp(1000)*s": range(11), "s+1/0": range(11), "0^-1": range(11),
+    "s^(2^3^4^5)": range(11),
+}
 
 
 @pytest.mark.parametrize("text,lo,hi", [
     ("log(s)", -1.0, 1.0), ("sqrt(s)", -1.0, 1.0), ("1/s", -1.0, 1.0),
     ("s^-1", -1.0, 1.0), ("s^0.5", -1.0, 1.0), ("exp(s)", 700.0, 800.0),
+    ("tan(1/s)", -1.0, 1.0), ("sin(1/s)", -1.0, 1.0), ("atan(1/s)", -1.0, 1.0),
+    ("log(s)^0", -1.0, 1.0), ("(1/s)^0", -1.0, 1.0), ("exp(1000)*s", -1.0, 1.0),
+    ("s+1/0", -1.0, 1.0), ("0^-1", -1.0, 1.0), ("s^(2^3^4^5)", -1.0, 1.0),
 ])
 def test_grid_domain_error_on_some_nodes(text, lo, hi):
-    grid = np.linspace(lo, hi, 11)
-    with pytest.raises(ex.ExprDomainError):
-        ex.eval_jet(text, grid)
+    failed = _assert_grid_matches_points(ex.parse(text), np.linspace(lo, hi, 11))
+    assert failed == list(_FAILING_ROWS[text])
 
 
 _BASES = np.concatenate([

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmfruled.curve import CurveDef, frenet, tangent_data
+from rmfruled.expr import ExprDomainError
 from rmfruled.frame import (ExplicitTheta, FrameField, RotationMinimizing,
                             adapted_frame, double_reflection,
                             frame_derivatives, theta_rmf)
@@ -60,6 +61,14 @@ def test_theta_rmf_across_inflection():
     _, af_p = field.frame_at(0.5)
     assert np.dot(af_m.U, af_p.U) > 1 - 1e-6  # U continuous across the flat point
     assert abs(abs(af_p.theta - af_m.theta) - math.pi) < 1e-6
+
+
+def test_angle_table_ends_where_the_curve_fails_between_nodes():
+    # The pole sits at the midpoint of two table nodes alone: its rate is NaN,
+    # and the bridge across it ends the job with the float call's error.
+    c = CurveDef.from_strings("s", "s^2", "s^3+1/(s+0.49951171875)", -1, 1)
+    with pytest.raises(ExprDomainError, match=r"in 's\+0.49951171875'$"):
+        FrameField(c, RotationMinimizing(0.0))
 
 
 # ---------------------------------------------------------------------------

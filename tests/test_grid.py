@@ -5,12 +5,13 @@ finite-difference oracles evaluate, every grid element must equal the float
 call bit for bit, and be NaN exactly where the float call raises.  Three more
 surfaces cover failing samples: the curve (s, s^3, s^4), whose curvature
 vanishes at the node s = 0 (the RMF bridges it); a cusp whose tangent
-vanishes there (the grid Frenet call raises, so the grid is redone sample by
-sample); and a director 1/s, whose grid evaluation raises at s = 0.  A grid
-stacked from two grids must give what the two give apart, and one ``verify``
-or ``surface`` run makes a pinned number of curve passes.  The probe that
-makes the float calls at failing samples, ``expr._float_path``, has a
-contract test of its own.
+vanishes there (the grid Frenet call gives NaN at that sample alone); and a
+director 1/s, whose grid evaluation is NaN at s = 0 alone.  No grid call
+raises for a failing sample, so a cusp costs a run a few float calls, not
+one per sample.  A grid stacked from two grids must give what the two give
+apart, and one ``verify`` or ``surface`` run makes a pinned number of curve
+passes.  The probe that makes the float calls at failing samples,
+``expr._float_path``, has a contract test of its own.
 """
 
 import json
@@ -24,7 +25,7 @@ from rmfruled import curve, expr, ruled
 from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import DegenerateTangent, GeometryError, VanishingCurvature
-from rmfruled.frame import ExplicitTheta, RotationMinimizing
+from rmfruled.frame import ExplicitTheta, FrameField, RotationMinimizing
 from rmfruled.record import fields
 from rmfruled.ruled import FD_STEP, RuledSurface
 
@@ -52,7 +53,7 @@ SURFACES = _surfaces()
 def _float_or_none(fn, t):
     try:
         return fn(t)
-    except ruled._FAILURES:
+    except (GeometryError, expr.ExprError):  # what these surfaces raise at a float
         return None
 
 
@@ -205,14 +206,14 @@ def test_failing_samples_take_the_float_exception_class():
     assert [0.0, "DegenerateTangent"] in [list(x) for x in rep.skipped_samples]
 
 
-def test_grid_raising_for_one_sample_keeps_the_others():
-    # The grid Frenet call raises DegenerateTangent at s = 0 alone.
+def test_one_failing_sample_keeps_the_others():
+    # The float Frenet call raises DegenerateTangent at s = 0 alone.
     cusp, _ = SURFACES["cusp"]
     surf = cusp()
     G = np.linspace(-1, 1, 51)
     fd, af = surf.frame(G)
     assert np.isnan(af.U[25]).all() and np.isfinite(np.delete(af.U, 25, 0)).all()
-    # x1 = 1/s raises on the grid at s = 0; the other rows keep their values.
+    # x1 = 1/s raises at the float s = 0; the other rows keep their values.
     one_over_s, _ = SURFACES["director_1_over_s"]
     surf = one_over_s()
     G = np.linspace(-1, 1, 21)
@@ -237,6 +238,28 @@ def test_cusp_and_pole_through_the_cli(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("E_GEOMETRY: division by zero")
+
+
+@pytest.mark.parametrize("command,code", [("classify", 0), ("verify", 1),
+                                          ("surface", 3)])
+def test_a_cusp_costs_a_few_float_frames(tmp_path, monkeypatch, command, code):
+    # The cusp (|r'| = 0 at s = 0) fails at one sample of 2001: the float path
+    # asks that sample why, not every sample of the grid.
+    doc = json.loads((CONFIGS / "example1.json").read_text())
+    doc["curve"] = {"x": "s^3", "y": "s^2", "z": "s^4", "s_range": [-1, 1]}
+    cfg = tmp_path / "cusp.json"
+    cfg.write_text(json.dumps(doc))
+    floats, frame_at = [], FrameField.frame_at
+
+    def counting(self, t):
+        if not isinstance(t, np.ndarray):
+            floats.append(t)
+        return frame_at(self, t)
+
+    monkeypatch.setattr(FrameField, "frame_at", counting)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--samples", "2001"]) == code
+    assert 1 <= len(floats) <= 4
 
 
 def test_verify_work_does_not_grow_with_the_grid(tmp_path, monkeypatch):
