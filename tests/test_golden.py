@@ -9,12 +9,13 @@ float call decides for a failing grid sample, all four subcommands each
 (`classify` as JSON): ``cusp`` (|r'| = 0 at s = 0), ``pole`` (x1 = 1/s),
 ``flat_explicit`` (the flat curve under an explicit theta, which needs N)
 and ``flat_pole`` (the flat curve with x1 = 1/s, where the director's
-error, probed before the frame's, ends `classify` and `verify`).  Five
+error, probed before the frame's, ends `classify` and `verify`).  Six
 more end in exit 3 (``pole_x3`` in all but `frames`): ``pole_x3`` (x3 =
 1/s, which a probe of x1 alone would miss), ``cusp_rmf`` (the cusp under
 the RMF, whose angle table meets it), ``theta_pole`` (explicit theta 1/s),
-``const_fail`` (x1 = exp(1000), failing at every sample) and ``fast_sqrt``
-(|r'| = 1e110 on [0, 1], with x2 = sqrt(s)).  Each case records the exit
+``const_fail`` (x1 = exp(1000), failing at every sample), ``fast_sqrt``
+(|r'| = 1e110 on [0, 1], with x2 = sqrt(s)) and ``inf_theta`` (explicit
+theta 1e200*1e200*s, infinite without a DSL error).  Each case records the exit
 code, the stderr text and the digest of the output file (null when none is
 written).
 ``frames`` and ``surface`` also run on each bundled config at ``--samples
@@ -64,6 +65,8 @@ VARIANTS = {
     "pole_x3": ("example1.json", {"director": {"x3": "1/s"}}),
     "cusp_rmf": ("example1.json", {"curve": CUSP_CURVE, "theta": RMF}),
     "theta_pole": ("example1.json", {"theta": {"mode": "explicit", "expr": "1/s"}}),
+    "inf_theta": ("example1.json", {"theta": {"mode": "explicit",
+                                              "expr": "1e200*1e200*s"}}),
     "const_fail": ("example1.json", {"director": {"x1": "exp(1000)"}}),
     "fast_sqrt": ("example1.json",
                   {"curve": {"x": "1e110*s", "y": "cos(s)", "z": "sin(s)",
