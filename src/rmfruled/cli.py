@@ -255,7 +255,7 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
         _check(checks, "tau_g = -k_g*k_n identity",
                ruled._max_abs((tau_g + k_g * k_n)[usable]), 1e-10)
     framed = grid[~np.isnan(kappa)]
-    if surface.is_rmf and framed.size:
+    if framed.size:
         err = np.abs(surface.director_derivative_closed(framed)[1]
                      - surface.director_derivative_numeric(framed))
         _check(checks, "closed vs numeric director derivative",
@@ -270,12 +270,9 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
         "curvature_line_frame": bc.is_curvature_line_frame,
         "curvature_line": bc.is_curvature_line_rodrigues,
     }
-    verdict = None
     for key, want in job.expect.items():
         if key == "developable":
-            if verdict is None:
-                verdict = ruled.det_verdict(surface, grid, job.tol_dev)[0]
-            got = verdict
+            got = ruled.det_verdict(surface, grid, job.tol_dev)[0]
         elif key in flag_map:
             got = flag_map[key]
         else:

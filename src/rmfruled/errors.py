@@ -31,7 +31,3 @@ class SingularPoint(GeometryError):
 
 class TangentRuling(GeometryError):
     """Ruling parallel to the tangent at the base curve (x2 = x3 = 0)."""
-
-
-class RequiresRotationMinimizingFrame(GeometryError):
-    """Closed form only valid when the frame does not rotate in the normal plane."""

@@ -22,8 +22,8 @@ from typing import Union
 import numpy as np
 
 from . import expr as ex
-from .curve import (CurveDef, FrenetData, _per_sample, frenet, tangent_data,
-                    vec_cross)
+from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
+                    tangent_data, vec_cross)
 from .errors import GeometryError, VanishingCurvature
 from .record import Record, fields
 
@@ -256,10 +256,14 @@ class FrameField:
     def theta_at(self, t, fd: FrenetData, mid=None):
         """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
         ``fd``; only samples with a frame but a NaN panel are bridged.  ``mid``
-        holds the rates at the panel midpoints if the caller has them."""
+        holds the rates at the panel midpoints if the caller has them.  A
+        non-finite explicit theta or theta' is NaN (ExprDomainError at a float)."""
         if isinstance(self.policy, ExplicitTheta):
             j = ex.eval_jet(self.policy.theta, t)
-            return j.value, j.d1
+            bad = ~(np.isfinite(j.value) & np.isfinite(j.d1))
+            return tuple(_guard(x, bad, lambda: ex.ExprDomainError(
+                f"theta={j.value}, theta'={j.d1} is not finite at s={t}"))
+                for x in (j.value, j.d1))
         rate = _theta_rate(fd)
         k, t0 = self._panel(t)
         th0 = self._thetas[k]

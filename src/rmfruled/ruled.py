@@ -1,11 +1,12 @@
 """Ruled surfaces phi(s, v) = r(s) + v X(s) with the director X given in
 adapted-frame coordinates (x1, x2, x3).
 
-Provides the director and its derivative (closed form under the RMF policy,
-product-rule numeric path for any policy), the distribution parameter,
+Provides the director and its derivative (closed form and product-rule
+numeric path, both for any adapted frame), the distribution parameter,
 surface points/normals, finite-difference fundamental forms as an
 independent oracle, and the developability / special-case classifier.
-All primed quantities are per unit arc length unless stated otherwise.
+All primed quantities are per unit arc length unless stated otherwise, and
+phi is the frame's normal-plane rotation rate, zero under the RMF.
 Every per-s method takes a float s or a 1-D grid of s, under the float path of
 :mod:`rmfruled.expr` that every layer below keeps: where a float call raises,
 a grid gives NaN, and each other element equals the float call.  Callers that
@@ -20,10 +21,9 @@ import numpy as np
 
 from . import expr as ex
 from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot, vec_norm
-from .errors import (CylindricalPoint, GeometryError,
-                     RequiresRotationMinimizingFrame, SingularPoint,
+from .errors import (CylindricalPoint, GeometryError, SingularPoint,
                      TangentRuling, ZeroDirector)
-from .frame import FrameField, _cos_sin, frame_derivatives
+from .frame import FrameField, _cos_sin, frame_angular_velocity, frame_derivatives
 from .record import Record
 
 # Finite-difference step for the fundamental-form oracle; fixed for
@@ -125,10 +125,7 @@ class RuledSurface:
         self.field = FrameField(sdef.curve, sdef.theta)
         self._frame_at = _keyed(self.field.frame_at)
         self._row = _keyed(self._director_row)
-
-    @property
-    def is_rmf(self) -> bool:
-        return self.field.is_rmf
+        self._det = _keyed(self._ruling_det)
 
     def frame(self, s):
         """(FrenetData, AdaptedFrame) at s; on a grid, NaN where a float raises."""
@@ -158,26 +155,22 @@ class RuledSurface:
                       lambda: ZeroDirector(f"|X|~0 at s={s}"))
 
     def director_derivative_closed(self, s):
-        """Frame components of X' per arc length, RMF policy only.
-
-        Returns (components, world_vector).  Refused under an explicit theta
-        policy, whose normal-plane rotation invalidates the formula.
-        """
-        if not self.is_rmf:
-            raise RequiresRotationMinimizingFrame(
-                "closed-form director derivative assumes a rotation minimizing "
-                "frame; use the numeric path for explicit theta")
+        """Frame components of X' per arc length, and the world vector X', for
+        any adapted frame: X'_T = x1' - kappa (x2 cos(theta) - x3 sin(theta)),
+        X'_U = kappa x1 cos(theta) + x2' - phi x3, X'_V = -kappa x1 sin(theta)
+        + x3' + phi x2."""
         fd, af = self.frame(s)
         (j1, j2, j3), _, _ = self._row(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
         # coefficient derivatives converted to arc length
         p1, p2, p3 = (j.d1 / fd.speed for j in (j1, j2, j3))
         k = fd.kappa
+        phi = frame_angular_velocity(fd, af)
         c, sn = _cos_sin(af.theta)
         comps = np.stack([
             p1 - k * x2 * c + k * x3 * sn,
-            k * x1 * c + p2,
-            p3 - k * x1 * sn,
+            k * x1 * c + p2 - phi * x3,
+            p3 - k * x1 * sn + phi * x2,
         ], axis=-1)
         c1, c2, c3 = (comps[..., i:i + 1] for i in range(3))
         return comps, c1 * fd.T + c2 * af.U + c3 * af.V
@@ -188,27 +181,33 @@ class RuledSurface:
 
     def ruling_det(self, s):
         """det(T, X, X') -- the developability indicator at s; on a grid, one
-        batched determinant of the stacked 3x3 matrices."""
+        batched determinant of the stacked 3x3 matrices, cached as ``_det``
+        and read-only."""
+        return self._det(s)
+
+    def _ruling_det(self, s):
         _, X, Xp = self._row(s)
         m = np.stack([self.frame(s)[0].T, X, Xp], axis=-1)
         if m.ndim == 2:
             return float(np.linalg.det(m))
         with np.errstate(invalid="ignore"):  # NaN rows, where a float raises
-            return np.linalg.det(m)
+            det = np.linalg.det(m)
+        det.flags.writeable = False
+        return det
 
     def distribution_parameter(self, s):
         """det(T, X, X') / |X'|^2; raises at cylindrical points (|X'| ~ 0)."""
         return _over_xp2(self.ruling_det(s), self._row(s)[2], s)
 
     def det_numerator_closed(self, s):
-        """Closed RMF form of det(T, X, X') = x2 X'_V - x3 X'_U, that is
-        (x2 x3' - x3 x2') - kappa x1 (x2 sin(theta) + x3 cos(theta))."""
+        """Closed form of det(T, X, X') = x2 X'_V - x3 X'_U = x2 x3' - x3 x2'
+        - kappa x1 (x2 sin(theta) + x3 cos(theta)) + phi (x2^2 + x3^2)."""
         comps, _ = self.director_derivative_closed(s)
         (_, j2, j3), _, _ = self._row(s)
         return j2.value * comps[..., 2] - j3.value * comps[..., 1]
 
     def distribution_parameter_closed(self, s):
-        """Closed RMF form: det_numerator_closed / |X'|^2."""
+        """Closed form: det_numerator_closed / |X'|^2."""
         comps, _ = self.director_derivative_closed(s)
         return _over_xp2(self.det_numerator_closed(s), comps, s)
 
@@ -319,22 +318,24 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
 
     jets, _, _ = surface._row(s_vals)
     fd, af = surface.frame(s_vals)
-    k, sp = fd.kappa[ok], fd.speed[ok]
+    k, sp, phi = fd.kappa[ok], fd.speed[ok], frame_angular_velocity(fd, af)[ok]
     c, sn = _cos_sin(af.theta[ok])
     (x1, x2, x3), (d2, d3) = ([j.value[ok] for j in jets],
                               [j.d1[ok] for j in jets[1:]])
+    # Each residual is |det(T, X, X')| on its span; phi*x*x is 0 where phi is.
     conditions = {}
     notes = []
     if tag in ("span{T,U}", "X=T", "X=U"):
-        conditions["max |kappa*x1*x2*sin(theta)|"] = _max_abs(k * x1 * x2 * sn)
-        if max(k.tolist()) <= EPS_REG:
-            notes.append("kappa vanishes on the grid; condition holds trivially")
-        if max_abs[0] * max_abs[1] <= EPS_REG:
+        conditions["max |kappa*x1*x2*sin(theta) - phi*x2^2|"] = _max_abs(
+            k * x1 * x2 * sn - phi * x2 * x2)
+        if max_abs[1] <= EPS_REG or max_abs[0] <= EPS_REG and _max_abs(phi) <= EPS_REG:
             notes.append("x1*x2 vanishes on the grid; condition holds trivially")
     if tag in ("span{T,V}", "X=T", "X=V"):
-        conditions["max |kappa*x1*x3*cos(theta)|"] = _max_abs(k * x1 * x3 * c)
+        conditions["max |kappa*x1*x3*cos(theta) - phi*x3^2|"] = _max_abs(
+            k * x1 * x3 * c - phi * x3 * x3)
     if tag in ("span{U,V}", "X=U", "X=V"):
-        conditions["max |x2*x3' - x3*x2'|"] = _max_abs(x2 * d3 / sp - x3 * d2 / sp)
+        conditions["max |x2*x3' - x3*x2' + phi*(x2^2 + x3^2)|"] = _max_abs(
+            x2 * d3 / sp - x3 * d2 / sp + (phi * x2 * x2 + phi * x3 * x3))
 
     # Gaussian-curvature cross-check on a coarse interior grid.
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)

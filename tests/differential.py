@@ -50,7 +50,7 @@ BAD_CURVES = [
 ]
 RANGES = [(-1.0, 1.0), (0.0, 1.0), (-5.0, 5.0), (0.5, 2.0), (-2.0, 0.3)]
 THETAS = ["s", "atan(s)", "0", "s^2", "sin(s)"]
-BAD_THETAS = ["1/s", "sqrt(s)", "log(s)", "exp(1000)", "tan(s)"]
+BAD_THETAS = ["1/s", "sqrt(s)", "log(s)", "exp(1000)", "tan(s)", "1e200*1e200*s"]
 COEFFS = ["0", "1", "s", "s^2", "-s^3", "abs(s)", "cos(s)", "sin(s)", "2^0.5",
           "atan(s)", "exp(s)", "1e200*s"]
 BAD_COEFFS = ["1/s", "sqrt(s)", "log(s)", "exp(1000)", "exp(300*s)", "s^-1",

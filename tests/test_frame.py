@@ -256,3 +256,14 @@ def test_theta_at_bridges_from_flat_node_below():
     _, af_m = field.frame_at(-1e-4)
     _, af_p = field.frame_at(1e-4)
     assert float(np.dot(af_m.U, af_p.U)) > 1 - 1e-6
+
+
+def test_non_finite_explicit_theta_is_located(helix):
+    # 1e200*1e200*s overflows without a DSL error: a float call names theta
+    # and s, and a grid is NaN there.
+    field = FrameField(helix, ExplicitTheta.from_string("1e200*1e200*s"))
+    with pytest.raises(ExprDomainError, match=r"theta=inf, theta'=inf .* at s=0\.5"):
+        field.frame_at(0.5)
+    _, af = field.frame_at(np.array([-1.0, 0.0, 0.5]))
+    assert np.isnan(af.theta).all() and np.isnan(af.theta_prime).all()
+    assert np.isnan(af.U).all() and np.isnan(af.V).all()

@@ -10,7 +10,7 @@ director 1/s, whose grid evaluation is NaN at s = 0 alone.  No grid call
 raises for a failing sample, so a cusp costs a run a few float calls, not
 one per sample.  A grid stacked from two grids must give what the two give
 apart, and one ``verify`` or ``surface`` run makes a pinned number of curve
-passes.  The probe that makes the float calls at failing samples,
+passes (and ``verify`` one batched determinant).  The probe that makes the float calls at failing samples,
 ``expr._float_path``, has a contract test of its own.
 """
 
@@ -92,13 +92,12 @@ def test_grid_equals_float_path(name, shift):
     _same(grid_surf.ruling_det(G), [_float_or_none(float_surf.ruling_det, t) for t in ts])
     _same(grid_surf.normal(G, 0.0),
           [_float_or_none(lambda t: float_surf.normal(t, 0.0), t) for t in ts])
-    if grid_surf.is_rmf:
-        comps, world = grid_surf.director_derivative_closed(G)
-        closed = [_float_or_none(float_surf.director_derivative_closed, t) for t in ts]
-        _same(comps, [d and d[0] for d in closed])
-        _same(world, [d and d[1] for d in closed])
-        _same(grid_surf.det_numerator_closed(G),
-              [_float_or_none(float_surf.det_numerator_closed, t) for t in ts])
+    comps, world = grid_surf.director_derivative_closed(G)
+    closed = [_float_or_none(float_surf.director_derivative_closed, t) for t in ts]
+    _same(comps, [d and d[0] for d in closed])
+    _same(world, [d and d[1] for d in closed])
+    _same(grid_surf.det_numerator_closed(G),
+          [_float_or_none(float_surf.det_numerator_closed, t) for t in ts])
 
 
 def _fields(x):
@@ -315,3 +314,19 @@ def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets
     assert main([command, "--config", str(CONFIGS / cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert (len(jet_calls), len(frenet_calls)) == (jets, frenets)
+
+
+def test_verify_takes_one_determinant_of_its_grid(tmp_path, monkeypatch):
+    # The P column, the closed-numerator check and the developability verdict
+    # share one batched det(T, X, X') of the s-grid.
+    batched, det = [], np.linalg.det
+
+    def counting(m):
+        if np.ndim(m) == 3:
+            batched.append(len(m))
+        return det(m)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    assert main(["verify", "--config", str(CONFIGS / "proportional_normal_coeffs.json"),
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert batched == [101]

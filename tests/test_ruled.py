@@ -5,8 +5,7 @@ import pytest
 
 from conftest import make_surface
 from rmfruled.curve import CurveDef
-from rmfruled.errors import (RequiresRotationMinimizingFrame, SingularPoint,
-                             TangentRuling, ZeroDirector)
+from rmfruled.errors import SingularPoint, TangentRuling, ZeroDirector
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.record import fields
 from rmfruled.ruled import SurfaceSample, classify
@@ -66,9 +65,15 @@ def test_closed_normal_plane_director_under_rmf(helix):
     assert np.linalg.norm(np.cross(world, fd.T)) < 1e-12
 
 
-def test_closed_refused_for_explicit_theta(geodesic_example):
-    with pytest.raises(RequiresRotationMinimizingFrame):
-        geodesic_example.director_derivative_closed(1.0)
+def test_closed_matches_numeric_under_explicit_theta(geodesic_example):
+    # theta = atan(s) turns the frame at phi = theta' + tau != 0
+    for s in np.linspace(-4.5, 4.5, 19):
+        s = float(s)
+        _, world = geodesic_example.director_derivative_closed(s)
+        assert world == pytest.approx(
+            geodesic_example.director_derivative_numeric(s), abs=1e-12)
+        assert geodesic_example.det_numerator_closed(s) == pytest.approx(
+            geodesic_example.ruling_det(s), abs=1e-11)
 
 
 def test_closed_matches_finite_difference(rmf_polynomial):
@@ -268,7 +273,8 @@ def test_classify_proportional_normal_coeffs(helix):
     rep = classify(surf, n_s=51, n_v=9)
     assert rep.verdict == "yes"
     assert rep.special_case == "span{U,V}"
-    assert rep.corollary_conditions["max |x2*x3' - x3*x2'|"] < 1e-12
+    key = "max |x2*x3' - x3*x2' + phi*(x2^2 + x3^2)|"
+    assert rep.corollary_conditions[key] < 1e-12
 
 
 def test_classify_nondevelopable(helix):
@@ -286,7 +292,21 @@ def test_classify_planar_sin_zero(helix):
     rep = classify(surf, n_s=51, n_v=9)
     assert rep.verdict == "yes"
     assert rep.special_case == "span{T,U}"
-    assert rep.corollary_conditions["max |kappa*x1*x2*sin(theta)|"] < 1e-9
+    assert rep.corollary_conditions["max |kappa*x1*x2*sin(theta) - phi*x2^2|"] < 1e-9
+
+
+def test_classify_residuals_carry_the_frame_rotation(helix):
+    # X = U with theta = s: det(T, U, U') = phi = theta' + tau = 1.8 on the
+    # unit-speed helix, which both residuals of the X=U case must show.
+    surf = make_surface(helix, ExplicitTheta.from_string("s"), "0", "1", "0")
+    rep = classify(surf, n_s=51, n_v=9)
+    assert rep.verdict == "no"
+    assert rep.special_case == "X=U"
+    assert rep.max_abs_det == pytest.approx(1.8, rel=1e-12)
+    assert len(rep.corollary_conditions) == 2
+    for residual in rep.corollary_conditions.values():
+        assert residual == pytest.approx(rep.max_abs_det, rel=1e-12)
+    assert not any("holds trivially" in note for note in rep.notes)
 
 
 def test_classify_scaling_invariance(helix):
