@@ -15,9 +15,10 @@ more end in exit 3 (``pole_x3`` in all but `frames`): ``pole_x3`` (x3 =
 the RMF, whose angle table meets it), ``theta_pole`` (explicit theta 1/s),
 ``const_fail`` (x1 = exp(1000), failing at every sample), ``fast_sqrt``
 (|r'| = 1e110 on [0, 1], with x2 = sqrt(s)) and ``inf_theta`` (explicit
-theta 1e200*1e200*s, infinite without a DSL error).  Each case records the exit
-code, the stderr text and the digest of the output file (null when none is
-written).
+theta 1e200*1e200*s, infinite without a DSL error).  ``straight`` (the line
+(s, 0, 0) under theta = s, with no expectations) has no Frenet frame at any
+sample.  Each case records the exit code, the stderr text and the digest of
+the output file (null when none is written).
 ``frames`` and ``surface`` also run on each bundled config at ``--samples
 401`` (cases ``frames@401:...`` and ``surface@401:...``), and so do
 ``classify`` and ``verify`` with ``--format json`` (``classify@401:...``,
@@ -68,6 +69,9 @@ VARIANTS = {
     "inf_theta": ("example1.json", {"theta": {"mode": "explicit",
                                               "expr": "1e200*1e200*s"}}),
     "const_fail": ("example1.json", {"director": {"x1": "exp(1000)"}}),
+    "straight": ("example1.json",
+                 {"curve": {"x": "s", "y": "0", "z": "0", "s_range": [-5, 5]},
+                  "theta": {"mode": "explicit", "expr": "s"}, "expect": {}}),
     "fast_sqrt": ("example1.json",
                   {"curve": {"x": "1e110*s", "y": "cos(s)", "z": "sin(s)",
                              "s_range": [0, 1]},
