@@ -234,6 +234,7 @@ def _check(checks: list, name: str, value: float, tol: float):
 def cmd_verify(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
     grid = _s_grid(job)
+    surface.stack(grid, np.concatenate(invariants.oracle_grids(grid)))
     bc = invariants.base_curve_report(surface, grid, tol=job.tol_inv)
     kappa, k_g, k_n, tau_g, rho = (bc.table[:, invariants.COLUMNS.index(name)]
                                    for name in ("kappa", "k_g", "k_n", "tau_g", "rho"))
@@ -248,20 +249,22 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
                  invariants.geodesic_torsion_numeric),
                 ("rho closed vs <N',NxT>", rho,
                  invariants.curvature_line_residual_numeric)):
-            numeric = oracle(surface, grid)[usable]  # frames on G and G +- h, shared
+            numeric = oracle(surface, grid)[usable]
             ex._float_path(lambda t: oracle(surface, t), grid[usable], numeric)
             _check(checks, name + " oracle", ruled._max_abs(closed[usable] - numeric),
                    invariants.TOL_FD)
         _check(checks, "tau_g = -k_g*k_n identity",
                ruled._max_abs((tau_g + k_g * k_n)[usable]), 1e-10)
-    framed = grid[~np.isnan(kappa)]
-    if framed.size:
-        err = np.abs(surface.director_derivative_closed(framed)[1]
-                     - surface.director_derivative_numeric(framed))
-        _check(checks, "closed vs numeric director derivative",
-               max(np.max(err, axis=1).tolist()), 1e-8)
-        det_err = surface.ruling_det(framed) - surface.det_numerator_closed(framed)
-        _check(checks, "det(T,X,X') vs closed numerator", ruled._max_abs(det_err), 1e-8)
+    framed = ~np.isnan(kappa)
+    if not framed.any():
+        raise GeometryError("no usable samples on the verify grid")
+    err = np.abs(surface.director_derivative_closed(grid)[1]
+                 - surface.director_derivative_numeric(grid))[framed]
+    _check(checks, "closed vs numeric director derivative",
+           max(np.max(err, axis=1).tolist()), 1e-8)
+    det_err = surface.ruling_det(grid) - surface.det_numerator_closed(grid)
+    _check(checks, "det(T,X,X') vs closed numerator", ruled._max_abs(det_err[framed]),
+           1e-8)
 
     expect_results = []
     flag_map = {

@@ -115,7 +115,8 @@ def tangent_data(c: CurveDef, t):
     Defined wherever |r'| > EPS_REG, including curvature-free points.
     """
     pos, d1, _, _ = eval_curve(c, t)
-    return (pos, *_unit_tangent(d1, t))
+    speed = _speed(d1, t)
+    return pos, d1 / _per_sample(speed), speed
 
 
 def vec_dot(a: np.ndarray, b: np.ndarray):
@@ -163,20 +164,20 @@ def _check_speed(too_fast, d1: np.ndarray, t):
         raise FloatingPointError(f"|r'|^3 overflows: |r'|={speed:.3e} at t={fast[1]}")
 
 
-def _unit_tangent(d1: np.ndarray, t):
+def _speed(d1: np.ndarray, t):
+    """|r'|, NaN where it is at most EPS_REG (DegenerateTangent at a float)."""
     # |r'|^2 overflows from about 1.3e154: check the largest component first.
     _check_speed(np.max(np.abs(d1), axis=-1) > MAX_SPEED, d1, t)
     speed = vec_norm(d1)
-    speed = _guard(speed, speed <= EPS_REG,
-                   lambda: DegenerateTangent(f"|r'|={speed:.3e} at t={t}"))
-    return d1 / _per_sample(speed), speed
+    return _guard(speed, speed <= EPS_REG,
+                  lambda: DegenerateTangent(f"|r'|={speed:.3e} at t={t}"))
 
 
-def frenet(c: CurveDef, t) -> FrenetData:
-    """Full Frenet apparatus at a float ``t``, raising where the frame is
-    undefined; on a grid, NaN data there instead."""
+def _apparatus(c: CurveDef, t):
+    """(position, r', |r'|, r' x r'', its norm, kappa, tau), raising and NaN
+    where :func:`frenet` is; the norm and tau are NaN where kappa <= EPS_REG."""
     pos, d1, d2, d3 = eval_curve(c, t)
-    T, speed = _unit_tangent(d1, t)
+    speed = _speed(d1, t)
     _check_speed(speed > MAX_SPEED, d1, t)
     cr = vec_cross(d1, d2)
     ncr = vec_norm(cr)
@@ -185,10 +186,24 @@ def frenet(c: CurveDef, t) -> FrenetData:
     ncr = _guard(ncr, ~(kappa > EPS_REG) if isinstance(kappa, np.ndarray)
                  else kappa <= EPS_REG,
                  lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
+    return pos, d1, speed, cr, ncr, kappa, vec_dot(cr, d3) / ex.power(ncr, 2)
+
+
+def frenet(c: CurveDef, t) -> FrenetData:
+    """Full Frenet apparatus at a float ``t``, raising where the frame is
+    undefined; on a grid, NaN data there instead."""
+    pos, d1, speed, cr, ncr, kappa, tau = _apparatus(c, t)
+    T = d1 / _per_sample(speed)
     B = cr / _per_sample(ncr)
-    N = vec_cross(B, T)
-    tau = vec_dot(cr, d3) / ex.power(ncr, 2)
-    return FrenetData(pos, T, N, B, kappa, tau, speed)
+    return FrenetData(pos, T, vec_cross(B, T), B, kappa, tau, speed)
+
+
+def rmf_rate(c: CurveDef, t):
+    """The RMF angle's rate -|r'| tau in the curve's parameter: ``-fd.speed *
+    fd.tau`` of :func:`frenet` at t, raising and NaN where it is, without
+    building the frame."""
+    _, _, speed, _, _, _, tau = _apparatus(c, t)
+    return -speed * tau
 
 
 def validate_regular(c: CurveDef, n_samples: int) -> RegularityReport:

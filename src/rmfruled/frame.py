@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
-                    tangent_data, vec_cross)
+                    rmf_rate, tangent_data, vec_cross)
 from .errors import GeometryError, VanishingCurvature
 from .record import Record, fields
 
@@ -128,8 +128,8 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
     The rate does not depend on theta, so each grid interval is one Simpson
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum; intervals where the curvature vanishes are bridged by
-    double reflection.  The rates come from one Frenet call on the nodes
-    stacked on the midpoints.  A node or midpoint without a tangent (a cusp,
+    double reflection.  The rates come from one :func:`curve.rmf_rate` call on
+    the nodes stacked on the midpoints, which builds no frame.  A node or midpoint without a tangent (a cusp,
     or a curve undefined there) has no rate either, and the bridge across it,
     whose sub-samples hold the nodes and midpoints it spans, ends the job
     with the float call's error there.  Returns theta aligned with the grid,
@@ -141,7 +141,7 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
         raise ValueError("grid must hold at least two parameter values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    both = _theta_rate(frenet(c, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])))
+    both = rmf_rate(c, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
     rates, mids = both[:len(grid)], both[len(grid):]
     steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
     if node_rates is not None:
@@ -268,7 +268,7 @@ class FrameField:
         k, t0 = self._panel(t)
         th0 = self._thetas[k]
         if mid is None:  # NaN if flat
-            mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))
+            mid = rmf_rate(self.curve, np.ravel(0.5 * (t0 + t)))
         step = (t - t0) * (self._rates[k] + 4.0 * mid + rate) / 6.0
         theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
         for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():

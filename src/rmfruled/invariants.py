@@ -90,15 +90,19 @@ def curvature_line_residual_closed(surface: RuledSurface, s):
 # finite-difference oracles (surface normals and the unit tangent only)
 
 
+def oracle_grids(s) -> tuple:
+    """(s + h, s - h), the points at which the oracles difference at s; a grid
+    s evaluates them stacked as one grid [s + h; s - h], which all four oracles
+    share with its frame, director row and base-curve normal."""
+    return s + FD_STEP, s - FD_STEP
+
+
 def _arc_derivative(surface: RuledSurface, s, f):
-    """(f(s), d f/ds per arc length) by a central difference of step FD_STEP.
-    A grid s evaluates ``f`` once on the stacked grid [s + h; s - h], which all
-    four oracles share, with its frame and director row."""
-    h = FD_STEP
+    """(f(s), d f/ds per arc length) by a central difference of step FD_STEP."""
     speed = _per_sample(surface.frame(s)[0].speed)
     at_s = f(s)
-    ahead, behind = _stacked(f, (s + h, s - h))
-    return at_s, (ahead - behind) / (2 * h) / speed
+    ahead, behind = _stacked(f, oracle_grids(s))
+    return at_s, (ahead - behind) / (2 * FD_STEP) / speed
 
 
 def _tangent_arc_derivative(surface: RuledSurface, s):
@@ -106,19 +110,19 @@ def _tangent_arc_derivative(surface: RuledSurface, s):
 
 
 def _normal_arc_derivative(surface: RuledSurface, s):
-    return _arc_derivative(surface, s, lambda t: surface.normal(t, 0.0))
+    return _arc_derivative(surface, s, surface.base_normal)
 
 
 def geodesic_curvature_numeric(surface: RuledSurface, s):
     """< N x T, T' > with a finite-difference tangent derivative."""
-    n = surface.normal(s, 0.0)
+    n = surface.base_normal(s)
     T, Tp = _tangent_arc_derivative(surface, s)
     return vec_dot(vec_cross(n, T), Tp)
 
 
 def normal_curvature_numeric(surface: RuledSurface, s):
     """< r'', N > with the second arc-length derivative by finite differences."""
-    n = surface.normal(s, 0.0)
+    n = surface.base_normal(s)
     _, Tp = _tangent_arc_derivative(surface, s)
     return vec_dot(Tp, n)
 

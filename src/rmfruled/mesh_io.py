@@ -4,7 +4,8 @@ Output formats: Wavefront OBJ (v/vn/f subset, `//` normal indices), CSV
 per-sample tables (RFC-4180, LF line endings), and a JSON report with a
 ``schema_version`` field.  All numeric formatting is fixed so repeated runs
 produce byte-identical files.  OBJ and CSV text is formatted from whole
-arrays, with one fixed ``%``-template per row kind (:func:`format_rows`).
+arrays, with one fixed ``%``-template per row kind (:func:`format_rows`); OBJ
+face rows are filled from one formatted token per vertex.
 """
 
 from __future__ import annotations
@@ -89,14 +90,20 @@ def csv_table(columns, table) -> str:
 
 
 def write_obj(mesh: Mesh) -> str:
-    """Deterministic OBJ text; vn/`//` indices only when all normals exist."""
+    """Deterministic OBJ text; vn/`//` indices only when all normals exist.
+    The face token of each vertex that a face uses is formatted once, and the
+    face rows are filled from the tokens of their vertices."""
     vec = " ".join([OBJ_FMT] * 3) + "\n"
     text = format_rows("v " + vec, mesh.vertices)
-    faces = np.asarray(mesh.faces) + 1
+    faces = np.asarray(mesh.faces)
+    used, where = np.unique(faces, return_inverse=True)
     if mesh.flat_shaded:
-        return text + format_rows("f %d %d %d\n", faces)
-    return (text + format_rows("vn " + vec, mesh.normals)
-            + format_rows("f %d//%d %d//%d %d//%d\n", np.repeat(faces, 2, axis=1)))
+        tokens = [f"{i}" for i in (used + 1).tolist()]
+    else:
+        text += format_rows("vn " + vec, mesh.normals)
+        tokens = [f"{i}//{i}" for i in (used + 1).tolist()]
+    return text + format_rows("f %s %s %s\n", np.array(tokens, dtype=object)[
+        where.reshape(faces.shape)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot, vec_norm
 from .errors import (CylindricalPoint, GeometryError, SingularPoint,
                      TangentRuling, ZeroDirector)
 from .frame import FrameField, _cos_sin, frame_angular_velocity, frame_derivatives
-from .record import Record
+from .record import Record, fields
 
 # Finite-difference step for the fundamental-form oracle; fixed for
 # reproducible golden values.
@@ -33,16 +33,46 @@ FD_STEP = 1e-4
 TOL_DEV = 1e-7
 TOL_K = 1e-5
 
+def _key(s):
+    # bytes hash once per object; a tuple of floats hashes on every lookup
+    return np.asarray(s, dtype=float).tobytes() if isinstance(s, np.ndarray) else float(s)
+
+
 def _keyed(fn):
-    """``fn`` of a float or a grid, cached by the float or the grid's values."""
+    """``fn`` of a float or a grid, cached by the float or the bytes of the
+    grid's values.  After ``stack(grids)``, the call on each of ``grids`` is
+    its slice of one call on all of them stacked end to end, which equals it
+    element by element."""
+    stacks = {}  # key of a grid -> (the stacked grids, the grid's slice)
+
     @functools.lru_cache(maxsize=8192)
     def cached(key):
-        return fn(np.array(key, dtype=float) if isinstance(key, tuple) else key)
+        if key in stacks:
+            whole, cut = stacks.pop(key)
+            return _take(cached(_key(whole)), cut)
+        return fn(np.frombuffer(key).copy() if isinstance(key, bytes) else key)
+
+    def stack(grids):
+        whole = np.concatenate(grids)
+        ends = np.cumsum([len(g) for g in grids]).tolist()
+        for g, a, b in zip(grids, [0] + ends, ends):
+            stacks[_key(g)] = whole, slice(a, b)
 
     def call(s):
-        return cached(tuple(s.tolist()) if isinstance(s, np.ndarray) else float(s))
-    call.cache_info = cached.cache_info
+        return cached(_key(s))
+    call.cache_info, call.stack = cached.cache_info, stack
     return call
+
+
+def _take(value, cut):
+    """The samples ``cut`` (a slice) of a grid call's result, as the call on
+    that piece of the grid returns them: arrays along their first axis, tuples
+    and records field by field."""
+    if isinstance(value, np.ndarray):
+        return value[cut]
+    if isinstance(value, tuple):
+        return tuple(_take(v, cut) for v in value)
+    return type(value)(*(_take(v, cut) for v in fields(value).values()))
 
 
 def _stacked(fn, grids, axis=0) -> list:
@@ -126,6 +156,16 @@ class RuledSurface:
         self._frame_at = _keyed(self.field.frame_at)
         self._row = _keyed(self._director_row)
         self._det = _keyed(self._ruling_det)
+        self._closed = _keyed(self._director_derivative_closed)
+        self._normal0 = _keyed(self._base_normal)
+
+    def stack(self, *grids):
+        """Evaluate the frame, the director row and the base-curve normal of
+        ``grids`` each in one pass over the grids stacked end to end, made at
+        the first call that needs it on any of them; the later calls on the
+        grids hit the caches."""
+        for cache in (self._frame_at, self._row, self._normal0):
+            cache.stack(grids)
 
     def frame(self, s):
         """(FrenetData, AdaptedFrame) at s; on a grid, NaN where a float raises."""
@@ -158,7 +198,10 @@ class RuledSurface:
         """Frame components of X' per arc length, and the world vector X', for
         any adapted frame: X'_T = x1' - kappa (x2 cos(theta) - x3 sin(theta)),
         X'_U = kappa x1 cos(theta) + x2' - phi x3, X'_V = -kappa x1 sin(theta)
-        + x3' + phi x2."""
+        + x3' + phi x2.  Cached per float or grid, and read-only."""
+        return self._closed(s)
+
+    def _director_derivative_closed(self, s):
         fd, af = self.frame(s)
         (j1, j2, j3), _, _ = self._row(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
@@ -173,7 +216,9 @@ class RuledSurface:
             p3 - k * x1 * sn + phi * x2,
         ], axis=-1)
         c1, c2, c3 = (comps[..., i:i + 1] for i in range(3))
-        return comps, c1 * fd.T + c2 * af.U + c3 * af.V
+        world = c1 * fd.T + c2 * af.U + c3 * af.V
+        comps.flags.writeable = world.flags.writeable = False
+        return comps, world
 
     def director_derivative_numeric(self, s) -> np.ndarray:
         """World-space X' per arc length, valid for any theta policy."""
@@ -239,6 +284,16 @@ class RuledSurface:
                 raise TangentRuling(f"x2=x3=0 at s={s}: no normal on the base curve")
             raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
         return n / nn
+
+    def base_normal(self, s) -> np.ndarray:
+        """``normal(s, 0.0)``, the unit normal along the base curve; cached per
+        float or grid, and read-only."""
+        return self._normal0(s)
+
+    def _base_normal(self, s):
+        n = self.normal(s, 0.0)
+        n.flags.writeable = False
+        return n
 
     def sample(self, s, v: float) -> SurfaceSample:
         """Finite-difference fundamental forms (independent of the closed forms).

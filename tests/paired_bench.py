@@ -1,0 +1,119 @@
+"""Paired benchmark: the same rmfbench jobs on two checkouts, back to back.
+
+One ``rmfbench/worker.py`` process runs per checkout, each importing its own
+``src``.  Every job of ``rmfbench/jobs.make_round`` is sent to both workers in
+turn, the side that goes first alternating from job to job, so that a change
+in the machine's speed falls on both sides of a pair alike.  The two outputs
+must be byte-identical, with the same exit code.  Prints each side's median
+job time and the share of jobs that ran faster on the new side:
+
+    python tests/paired_bench.py --old /path/to/parent --workload verify_rmf \\
+        --seed 1 --rounds 60
+
+Unpaired runs of ``rmfbench/run.py`` on a machine whose speed swings between
+phases can hide a gain of a few percent; a paired share of faster jobs does
+not.  The jobs come from the new checkout's ``rmfbench``, which this script
+reads and does not change.  pytest does not collect this file.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+NEW = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(NEW / "rmfbench"))
+import jobs  # noqa: E402
+
+
+class Worker:
+    """A worker process of ``root``'s rmfbench, speaking its line protocol."""
+
+    def __init__(self, root: Path):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        self.proc = subprocess.Popen(
+            [sys.executable, str(root / "rmfbench" / "worker.py")], cwd=root, env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.read()  # {"setup_s": ...}
+
+    def read(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise EOFError("worker exited")
+        return json.loads(line)
+
+    def run(self, argv) -> dict:
+        self.proc.stdin.write(json.dumps({"argv": argv, "trace": False}) + "\n")
+        self.proc.stdin.flush()
+        return self.read()
+
+    def close(self):
+        if self.proc.poll() is None:
+            self.proc.stdin.close()
+            self.proc.wait(timeout=60)
+
+
+def run_pair(workers: dict, order, job, work: Path) -> dict:
+    """{side: (exit code, seconds, output bytes)} of ``job`` on each side."""
+    cfg = work / "job.json"
+    cfg.write_text(json.dumps(job.config()))
+    result = {}
+    for side in order:
+        out = work / f"{side}.out"
+        reply = workers[side].run([job.command, "--config", str(cfg), "--out", str(out)])
+        result[side] = (reply["code"], reply["seconds"],
+                        out.read_bytes() if out.exists() else None)
+        if out.exists():
+            out.unlink()
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--old", required=True, type=Path, help="the baseline checkout")
+    ap.add_argument("--new", type=Path, default=NEW, help="the changed checkout")
+    ap.add_argument("--workload", required=True, choices=jobs.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=60)
+    args = ap.parse_args(argv)
+
+    workers = {}
+    times = {"old": [], "new": []}
+    faster = mismatched = 0
+    try:
+        for side in ("old", "new"):
+            workers[side] = Worker(getattr(args, side).resolve())
+        with tempfile.TemporaryDirectory() as tmp:
+            k = 0
+            for r in range(args.rounds):
+                for job in jobs.make_round(args.workload, args.seed, r):
+                    order = ("old", "new") if k % 2 == 0 else ("new", "old")
+                    res = run_pair(workers, order, job, Path(tmp))
+                    k += 1
+                    if (res["old"][0], res["old"][2]) != (res["new"][0], res["new"][2]):
+                        mismatched += 1
+                        print(f"outputs differ: round {r}, exit codes "
+                              f"{res['old'][0]} / {res['new'][0]}", file=sys.stderr)
+                    for side in times:
+                        times[side].append(res[side][1])
+                    faster += res["new"][1] < res["old"][1]
+    finally:
+        for w in workers.values():
+            w.close()
+
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "jobs": k,
+        "old_job_s_p50": statistics.median(times["old"]),
+        "new_job_s_p50": statistics.median(times["new"]),
+        "new_faster_share": faster / k,
+        "outputs_differ": mismatched,
+    }))
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,10 @@ director 1/s, whose grid evaluation is NaN at s = 0 alone.  No grid call
 raises for a failing sample, so a cusp costs a run a few float calls, not
 one per sample.  A grid stacked from two grids must give what the two give
 apart, and one ``verify`` or ``surface`` run makes a pinned number of curve
-passes (and ``verify`` one batched determinant).  The probe that makes the float calls at failing samples,
+passes (and ``verify`` one frame, one director-row and one batched
+determinant grid call).  The RMF angle table's rate pass must give what
+:func:`curve.frenet` gives, bit for bit, NaN for NaN and error for error.
+The probe that makes the float calls at failing samples,
 ``expr._float_path``, has a contract test of its own.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS, make_surface
-from rmfruled import curve, expr, ruled
+from rmfruled import curve, expr, frame, ruled
 from rmfruled.cli import load_config, main
 from rmfruled.curve import CurveDef
 from rmfruled.errors import DegenerateTangent, GeometryError, VanishingCurvature
@@ -153,6 +156,22 @@ def test_stacked_grids_equal_separate_calls(name):
         fd, af = make().frame(np.concatenate([a, b]))
         assert np.isnan(af.U[20]).all() and np.isnan(fd.N[20]).all()
         assert np.isfinite(np.delete(af.U, 20, 0)).all()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_stacked_caches_equal_separate_calls(name):
+    # After ``stack(a, b)`` the frame, director row and base-curve normal of
+    # a and of b are slices of one call on [a; b], and so is all built on them.
+    make, lo, hi = STACKED[name]
+    a = np.linspace(lo, hi, 41)
+    b = np.linspace(lo, hi, 23)[1:-1] + FD_STEP
+    for call in (lambda sf, t: sf.frame(t), lambda sf, t: sf._row(t),
+                 lambda sf, t: sf.base_normal(t), lambda sf, t: sf.sample(t, 0.3),
+                 lambda sf, t: sf.director_derivative_closed(t)):
+        stacked = make()
+        stacked.stack(a, b)
+        assert [_bytes(call(stacked, t)) for t in (b, a)] == [
+            _bytes(call(make(), t)) for t in (b, a)]
 
 
 def test_float_path_probe_contract():
@@ -297,18 +316,19 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("command,cfg,jets,frenets", [
-    ("verify", "proportional_normal_coeffs.json", 15, 3),
-    ("classify", "proportional_normal_coeffs.json", 15, 3),
-    ("surface", "proportional_normal_coeffs.json", 9, 2),
+    ("verify", "proportional_normal_coeffs.json", 9, 1),
+    ("classify", "proportional_normal_coeffs.json", 15, 2),
+    ("surface", "proportional_normal_coeffs.json", 9, 1),
     ("surface", "example1.json", 7, 1),
 ])
 def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets):
-    # One Frenet call (three curve jets) per grid: under the RMF the angle
-    # table on its nodes and midpoints, then the s-grid with its panel
-    # midpoints; verify adds s +- h for the oracles, and classify adds
-    # [s - h; s; s + h] for its K stencil, which verify does not run.  Each
-    # grid but the table also takes three director jets, and an explicit theta
-    # one jet of its own.
+    # Three curve jets per grid.  Under the RMF the angle table takes them on
+    # its nodes and midpoints for its rates alone, with no Frenet call.  Every
+    # other grid takes one Frenet call, stacked on its panel midpoints under
+    # the RMF, and three director jets; an explicit theta adds one jet.
+    # surface evaluates the s-grid; verify evaluates [s; s + h; s - h] once,
+    # for the report and the oracles alike; classify evaluates the s-grid,
+    # then [s - h; s; s + h] for its K stencil, which verify does not run.
     jet_calls = _count_calls(monkeypatch, expr, "eval_jet")
     frenet_calls = _count_calls(monkeypatch, curve, "frenet")
     assert main([command, "--config", str(CONFIGS / cfg),
@@ -330,3 +350,71 @@ def test_verify_takes_one_determinant_of_its_grid(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(CONFIGS / "proportional_normal_coeffs.json"),
                  "--out", str(tmp_path / "v.json")]) == 0
     assert batched == [101]
+
+
+def test_verify_evaluates_each_grid_once(tmp_path, monkeypatch):
+    # The report, the four oracles, the director checks and the verdict read
+    # G and [G + h; G - h] as slices of one pass over [G; G + h; G - h].
+    frames, rows = [], []
+    frame_at, director_row = FrameField.frame_at, RuledSurface._director_row
+
+    def counting_frame(self, t):
+        if isinstance(t, np.ndarray):
+            frames.append(len(t))
+        return frame_at(self, t)
+
+    def counting_row(self, s):
+        if isinstance(s, np.ndarray):
+            rows.append(len(s))
+        return director_row(self, s)
+
+    monkeypatch.setattr(FrameField, "frame_at", counting_frame)
+    monkeypatch.setattr(RuledSurface, "_director_row", counting_row)
+    cfg = CONFIGS / "proportional_normal_coeffs.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+    n_s = load_config(str(cfg)).n_s
+    assert frames == [3 * n_s] and rows == [3 * n_s]
+
+
+RATE_CURVES = {
+    **{name: make().sdef.curve for name, (make, _) in SURFACES.items()
+       if name not in ("flat_node", "cusp", "director_1_over_s")},
+    "flat_node": FLAT,
+    "cusp": CUSP,
+    "fast_sqrt": CurveDef.from_strings("1e110*s", "cos(s)", "sin(s)", 0, 1),
+    # each |x_i'| below MAX_SPEED, |r'| above it: the second speed check
+    "fast_diagonal": CurveDef.from_strings("4e102*s", "4e102*s", "4e102*s^2", 0, 1),
+}
+
+
+def _outcome(fn, t):
+    """``("value", bytes)`` of ``fn(t)``, or the class and text of its error."""
+    try:
+        return "value", np.asarray(fn(t)).tobytes()
+    except Exception as err:  # compared as they are, whatever they are
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CURVES))
+def test_rate_pass_equals_frenet(name):
+    # On the angle table's grid of nodes and panel midpoints, as theta_rmf
+    # stacks it, and at float samples: every failing one and every 64th.
+    c = RATE_CURVES[name]
+
+    def from_frenet(t):
+        fd = curve.frenet(c, t)
+        return -fd.speed * fd.tau
+
+    def rate(t):
+        return curve.rmf_rate(c, t)
+
+    nodes = np.linspace(c.t_min, c.t_max, frame._N_CELLS + 1)
+    grid = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+    assert _outcome(rate, grid) == _outcome(from_frenet, grid)
+    picks = set(range(0, len(grid), 64))
+    if _outcome(rate, grid)[0] == "value":
+        want = from_frenet(grid)
+        assert np.array_equal(np.isnan(rate(grid)), np.isnan(want))
+        picks.update(np.flatnonzero(np.isnan(want)).tolist())
+    for t in grid[sorted(picks)].tolist():
+        assert _outcome(rate, t) == _outcome(from_frenet, t)
