@@ -234,7 +234,7 @@ def _check(checks: list, name: str, value: float, tol: float):
 def cmd_verify(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
     grid = _s_grid(job)
-    surface.stack(grid, np.concatenate(invariants.oracle_grids(grid)))
+    surface.stack(*invariants.oracle_grids(grid))
     bc = invariants.base_curve_report(surface, grid, tol=job.tol_inv)
     kappa, k_g, k_n, tau_g, rho = (bc.table[:, invariants.COLUMNS.index(name)]
                                    for name in ("kappa", "k_g", "k_n", "tau_g", "rho"))

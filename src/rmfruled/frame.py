@@ -129,12 +129,12 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum; intervals where the curvature vanishes are bridged by
     double reflection.  The rates come from one :func:`curve.rmf_rate` call on
-    the nodes stacked on the midpoints, which builds no frame.  A node or midpoint without a tangent (a cusp,
-    or a curve undefined there) has no rate either, and the bridge across it,
-    whose sub-samples hold the nodes and midpoints it spans, ends the job
-    with the float call's error there.  Returns theta aligned with the grid,
-    kept unwrapped.  ``node_rates``, if given, receives the rates at the nodes
-    (NaN if flat).
+    the nodes stacked on the midpoints, which builds no frame.  A node or
+    midpoint without a tangent (a cusp, or a curve undefined there) has no
+    rate either, and the bridge across it, whose sub-samples hold the nodes
+    and midpoints it spans, ends the job with the float call's error there.
+    Returns theta aligned with the grid, kept unwrapped.  ``node_rates``, if
+    given, receives the rates at the nodes (NaN if flat).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:

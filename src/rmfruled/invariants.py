@@ -11,8 +11,9 @@ disagree in general:
 
 Every closed form here has a finite-difference oracle in this module that
 differences surface normals and the curve's unit tangent, reading T and |r'|
-at s and s +- h from the surface's cached frame.  Invariants and oracles
-take floats or 1-D grids, under the float path of :mod:`rmfruled.ruled`.
+at s and s +- h (:func:`oracle_grids`) from the surface's cached frame.
+Invariants and oracles take floats or 1-D grids, under the float path of
+:mod:`rmfruled.ruled`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot
 from .errors import GeometryError, TangentRuling
 from .frame import _cos_sin, frame_angular_velocity
 from .record import Record
-from .ruled import FD_STEP, RuledSurface, _director_scale, _stacked
+from .ruled import FD_STEP, RuledSurface, _director_scale
 
 # Closed-form residuals are exact identities; finite-difference-backed
 # checks live in a separate error regime.
@@ -91,17 +92,14 @@ def curvature_line_residual_closed(surface: RuledSurface, s):
 
 
 def oracle_grids(s) -> tuple:
-    """(s + h, s - h), the points at which the oracles difference at s; a grid
-    s evaluates them stacked as one grid [s + h; s - h], which all four oracles
-    share with its frame, director row and base-curve normal."""
-    return s + FD_STEP, s - FD_STEP
+    """(s, s + h, s - h): where the oracles at s evaluate frames and normals."""
+    return s, s + FD_STEP, s - FD_STEP
 
 
 def _arc_derivative(surface: RuledSurface, s, f):
     """(f(s), d f/ds per arc length) by a central difference of step FD_STEP."""
     speed = _per_sample(surface.frame(s)[0].speed)
-    at_s = f(s)
-    ahead, behind = _stacked(f, oracle_grids(s))
+    at_s, ahead, behind = map(f, oracle_grids(s))
     return at_s, (ahead - behind) / (2 * FD_STEP) / speed
 
 
