@@ -91,19 +91,20 @@ def csv_table(columns, table) -> str:
 
 def write_obj(mesh: Mesh) -> str:
     """Deterministic OBJ text; vn/`//` indices only when all normals exist.
-    The face token of each vertex that a face uses is formatted once, and the
-    face rows are filled from the tokens of their vertices."""
+    Each vertex's face token is formatted once, and the face rows are filled
+    from the tokens of their vertices (an index with no vertex is formatted
+    where it occurs)."""
     vec = " ".join([OBJ_FMT] * 3) + "\n"
     text = format_rows("v " + vec, mesh.vertices)
-    faces = np.asarray(mesh.faces)
-    used, where = np.unique(faces, return_inverse=True)
-    if mesh.flat_shaded:
-        tokens = [f"{i}" for i in (used + 1).tolist()]
-    else:
+    if not mesh.flat_shaded:
         text += format_rows("vn " + vec, mesh.normals)
-        tokens = [f"{i}//{i}" for i in (used + 1).tolist()]
-    return text + format_rows("f %s %s %s\n", np.array(tokens, dtype=object)[
-        where.reshape(faces.shape)])
+    token = "{0}" if mesh.flat_shaded else "{0}//{0}"
+    n, faces = len(mesh.vertices), np.asarray(mesh.faces)
+    rows = np.array(list(map(token.format, range(1, n + 1))), dtype=object).take(
+        faces, mode="clip")
+    outside = (faces < 0) | (faces >= n)
+    rows[outside] = list(map(token.format, (faces[outside] + 1).tolist()))
+    return text + format_rows("f %s %s %s\n", rows)
 
 
 # ---------------------------------------------------------------------------
