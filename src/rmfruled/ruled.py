@@ -15,7 +15,7 @@ must say why a sample failed ask the float call (:func:`expr._float_path`).
 
 from __future__ import annotations
 
-import functools
+import collections
 
 import numpy as np
 
@@ -33,35 +33,56 @@ FD_STEP = 1e-4
 TOL_DEV = 1e-7
 TOL_K = 1e-5
 
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def _key(s):
     # bytes hash once per object; a tuple of floats hashes on every lookup
     return np.asarray(s, dtype=float).tobytes() if isinstance(s, np.ndarray) else float(s)
 
 
-def _keyed(fn):
+class _Keyed:
     """``fn`` of a float or a grid, cached by the float or the bytes of the
-    grid's values.  After ``stack(grids)``, the call on each of ``grids`` is
-    its slice of one call on all of them stacked end to end, which equals it
-    element by element."""
-    stacks = {}  # key of a grid -> (the stacked grids, the grid's slice)
+    grid's values; the oldest of more than ``maxsize`` entries goes first.
+    After ``stack(grids)``, the first call on any of ``grids`` is one call of
+    ``fn`` on all of them stacked end to end, cached as the stacked grid's
+    entry, and each grid's entry is its slice of that, which equals ``fn`` of
+    the grid element by element.  Each call of ``fn`` counts as one miss."""
 
-    @functools.lru_cache(maxsize=8192)
-    def cached(key):
-        if key in stacks:
-            whole, cut = stacks.pop(key)
-            return _take(cached(_key(whole)), cut)
-        return fn(np.frombuffer(key).copy() if isinstance(key, bytes) else key)
+    def __init__(self, fn, maxsize: int = 8192):
+        self.fn, self.maxsize, self.hits, self.misses = fn, maxsize, 0, 0
+        self._entries = {}  # key -> value, oldest first
+        self._stacks = {}  # key of a grid -> the grids to evaluate it with
 
-    def stack(grids):
-        whole = np.concatenate(grids)
+    def stack(self, grids):
+        for g in grids:
+            self._stacks[_key(g)] = grids
+
+    def __call__(self, s):
+        key = _key(s)
+        if key in self._entries:
+            self.hits += 1
+            return self._entries[key]
+        grids = self._stacks.get(key)
+        if grids is None:
+            self.misses += 1
+            self._store(key, self.fn(np.array(s, dtype=float)
+                                     if isinstance(s, np.ndarray) else key))
+            return self._entries[key]
+        whole = self(np.concatenate(grids))
         ends = np.cumsum([len(g) for g in grids]).tolist()
         for g, a, b in zip(grids, [0] + ends, ends):
-            stacks[_key(g)] = whole, slice(a, b)
+            del self._stacks[_key(g)]
+            self._store(_key(g), _take(whole, slice(a, b)))
+        return self._entries[key]
 
-    def call(s):
-        return cached(_key(s))
-    call.cache_info, call.stack = cached.cache_info, stack
-    return call
+    def _store(self, key, value):
+        self._entries[key] = value
+        if len(self._entries) > self.maxsize:
+            del self._entries[next(iter(self._entries))]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
 
 
 def _take(value, cut):
@@ -153,11 +174,11 @@ class RuledSurface:
     def __init__(self, sdef: RuledSurfaceDef):
         self.sdef = sdef
         self.field = FrameField(sdef.curve, sdef.theta)
-        self._frame_at = _keyed(self.field.frame_at)
-        self._row = _keyed(self._director_row)
-        self._det = _keyed(self._ruling_det)
-        self._closed = _keyed(self._director_derivative_closed)
-        self._normal0 = _keyed(self._base_normal)
+        self._frame_at = _Keyed(self.field.frame_at)
+        self._row = _Keyed(self._director_row)
+        self._det = _Keyed(self._ruling_det)
+        self._closed = _Keyed(self._director_derivative_closed)
+        self._normal0 = _Keyed(self._base_normal)
 
     def stack(self, *grids):
         """Evaluate the frame, the director row and the base-curve normal of
