@@ -62,18 +62,19 @@ class _Keyed:
         key = _key(s)
         if key in self._entries:
             self.hits += 1
-            return self._entries[key]
-        grids = self._stacks.get(key)
-        if grids is None:
+        elif key in self._stacks:
+            grids = self._stacks[key]
+            keys = [_key(g) for g in grids]
+            for k in keys:  # before the call, which may be on one of them
+                del self._stacks[k]
+            whole = self(np.concatenate(grids))
+            ends = np.cumsum([len(g) for g in grids]).tolist()
+            for k, a, b in zip(keys, [0] + ends, ends):
+                self._store(k, _take(whole, slice(a, b)))
+        else:
             self.misses += 1
             self._store(key, self.fn(np.array(s, dtype=float)
                                      if isinstance(s, np.ndarray) else key))
-            return self._entries[key]
-        whole = self(np.concatenate(grids))
-        ends = np.cumsum([len(g) for g in grids]).tolist()
-        for g, a, b in zip(grids, [0] + ends, ends):
-            del self._stacks[_key(g)]
-            self._store(_key(g), _take(whole, slice(a, b)))
         return self._entries[key]
 
     def _store(self, key, value):
