@@ -25,13 +25,14 @@ naming the skip reason or ending the job with its own error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Union
 
 import numpy as np
 
-from .record import Record
+from .record import Record, fields
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,27 @@ def _float_path(fn, s: np.ndarray, values, catch=()):
             ok[i] = False
             failed[i] = type(err).__name__
     return ok, failed
+
+
+def _stacked(fn, grids, axis=0) -> list:
+    """``[fn(g) for g in grids]``, from one call of ``fn`` on the grids stacked
+    end to end, each grid's piece cut along ``axis`` from every array of the
+    result, tuples and records field by field; floats take one call each, in
+    order, so that each can raise."""
+    if not isinstance(grids[0], np.ndarray):
+        return [fn(g) for g in grids]
+    whole = fn(np.concatenate(grids))
+    ends = list(itertools.accumulate(map(len, grids), initial=0))
+    return [_cut(whole, (slice(None),) * axis + (slice(a, b),))
+            for a, b in zip(ends, ends[1:])]
+
+
+def _cut(value, cut):
+    if isinstance(value, np.ndarray):
+        return value[cut]
+    if isinstance(value, tuple):
+        return tuple(_cut(v, cut) for v in value)
+    return type(value)(*(_cut(v, cut) for v in fields(value).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import expr as ex
 from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
                     rmf_rate, tangent_data, vec_cross)
 from .errors import GeometryError, VanishingCurvature
-from .record import Record, fields
+from .record import Record
 
 _N_CELLS = 2048  # uniform cells of the RMF angle table, one Simpson panel each
 
@@ -141,8 +141,8 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
         raise ValueError("grid must hold at least two parameter values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    both = rmf_rate(c, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    rates, mids = both[:len(grid)], both[len(grid):]
+    rates, mids = ex._stacked(lambda t: rmf_rate(c, t),
+                              (grid, 0.5 * (grid[:-1] + grid[1:])))
     steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
     if node_rates is not None:
         node_rates[:] = rates
@@ -286,10 +286,8 @@ class FrameField:
         kappa = 0.  Under the RMF a grid is stacked on its panel midpoints for
         one Frenet call."""
         if self.is_rmf and isinstance(t, np.ndarray):
-            n = len(t)
-            both = self.frenet_at(np.concatenate([t, 0.5 * (self._panel(t)[1] + t)]))
-            fd = FrenetData(*(value[:n] for value in fields(both).values()))
-            mid = _theta_rate(both)[n:]
+            fd, at_mid = ex._stacked(self.frenet_at, (t, 0.5 * (self._panel(t)[1] + t)))
+            mid = _theta_rate(at_mid)
         else:
             fd, mid = self.frenet_at(t), None
         theta, theta_prime = self.theta_at(t, fd, mid)

@@ -10,8 +10,8 @@ disagree in general:
   whose zero set is the standard line-of-curvature condition.
 
 Every closed form here has a finite-difference oracle in this module that
-differences surface normals and the curve's unit tangent, reading T and |r'|
-at s and s +- h (:func:`oracle_grids`) from the surface's cached frame.
+differences base-curve normals and unit tangents at s and s +- h
+(:func:`oracle_grids`), each grid's read from the surface's per-grid caches.
 Invariants and oracles take floats or 1-D grids, under the float path of
 :mod:`rmfruled.ruled`.
 """

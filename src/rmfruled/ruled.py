@@ -24,7 +24,7 @@ from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot, vec_norm
 from .errors import (CylindricalPoint, GeometryError, SingularPoint,
                      TangentRuling, ZeroDirector)
 from .frame import FrameField, _cos_sin, frame_angular_velocity, frame_derivatives
-from .record import Record, fields
+from .record import Record
 
 # Finite-difference step for the fundamental-form oracle; fixed for
 # reproducible golden values.
@@ -43,34 +43,24 @@ def _key(s):
 
 class _Keyed:
     """``fn`` of a float or a grid, cached by the float or the bytes of the
-    grid's values; the oldest of more than ``maxsize`` entries goes first.
-    After ``stack(grids)``, the first call on any of ``grids`` is one call of
-    ``fn`` on all of them stacked end to end, cached as the stacked grid's
-    entry, and each grid's entry is its slice of that, which equals ``fn`` of
-    the grid element by element.  Each call of ``fn`` counts as one miss."""
+    grid's values; the oldest of more than ``MAXSIZE`` entries goes first.
+    Each call of ``fn`` counts as one miss."""
 
-    def __init__(self, fn, maxsize: int = 8192):
-        self.fn, self.maxsize, self.hits, self.misses = fn, maxsize, 0, 0
+    MAXSIZE = 8192
+
+    def __init__(self, fn):
+        self.fn, self.hits, self.misses = fn, 0, 0
         self._entries = {}  # key -> value, oldest first
-        self._stacks = {}  # key of a grid -> the grids to evaluate it with
 
     def stack(self, grids):
-        for g in grids:
-            self._stacks[_key(g)] = grids
+        """Store each grid's slice of one call on ``grids`` stacked end to end."""
+        for g, value in zip(grids, ex._stacked(self, grids)):
+            self._store(_key(g), value)
 
     def __call__(self, s):
         key = _key(s)
         if key in self._entries:
             self.hits += 1
-        elif key in self._stacks:
-            grids = self._stacks[key]
-            keys = [_key(g) for g in grids]
-            for k in keys:  # before the call, which may be on one of them
-                del self._stacks[k]
-            whole = self(np.concatenate(grids))
-            ends = np.cumsum([len(g) for g in grids]).tolist()
-            for k, a, b in zip(keys, [0] + ends, ends):
-                self._store(k, _take(whole, slice(a, b)))
         else:
             self.misses += 1
             self._store(key, self.fn(np.array(s, dtype=float)
@@ -79,31 +69,11 @@ class _Keyed:
 
     def _store(self, key, value):
         self._entries[key] = value
-        if len(self._entries) > self.maxsize:
+        if len(self._entries) > self.MAXSIZE:
             del self._entries[next(iter(self._entries))]
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
-
-
-def _take(value, cut):
-    """The samples ``cut`` (a slice) of a grid call's result, as the call on
-    that piece of the grid returns them: arrays along their first axis, tuples
-    and records field by field."""
-    if isinstance(value, np.ndarray):
-        return value[cut]
-    if isinstance(value, tuple):
-        return tuple(_take(v, cut) for v in value)
-    return type(value)(*(_take(v, cut) for v in fields(value).values()))
-
-
-def _stacked(fn, grids, axis=0) -> list:
-    """``[fn(g) for g in grids]``, from one call of ``fn`` on the grids stacked
-    end to end and split back along ``axis``; floats take one call each, in
-    order, so that each can raise."""
-    if not isinstance(grids[0], np.ndarray):
-        return [fn(g) for g in grids]
-    return np.split(fn(np.concatenate(grids)), len(grids), axis=axis)
+        return _CacheInfo(self.hits, self.misses, self.MAXSIZE, len(self._entries))
 
 
 def _max_abs(a) -> float:
@@ -182,11 +152,9 @@ class RuledSurface:
         self._normal0 = _Keyed(self._base_normal)
 
     def stack(self, *grids):
-        """Evaluate the frame, the director row and the base-curve normal of
-        ``grids`` each in one pass over the grids stacked end to end, made at
-        the first call that needs it on any of them; the later calls on the
-        grids hit the caches."""
-        for cache in (self._frame_at, self._row, self._normal0):
+        """Evaluate the frames, then the director rows, of ``grids`` now, one
+        pass each over the grids stacked end to end, for later calls to hit."""
+        for cache in (self._frame_at, self._row):
             cache.stack(grids)
 
     def frame(self, s):
@@ -323,7 +291,7 @@ class RuledSurface:
         [s - h; s; s + h], the same grid for every v."""
         h = FD_STEP
         vs = np.array([v - h, v, v + h])
-        (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = _stacked(
+        (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = ex._stacked(
             lambda t: self.point(t, vs), (s - h, s, s + h), axis=1)
         d_s = (pss - psm) / (2 * h)
         d_v = (pvv - pvm) / (2 * h)

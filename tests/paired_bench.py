@@ -8,25 +8,37 @@ must be byte-identical, with the same exit code.  Prints each side's median
 job time and the share of jobs that ran faster on the new side:
 
     python tests/paired_bench.py --old /path/to/parent --workload verify_rmf \\
-        --seed 1 --rounds 60
+        --seed 1 --rounds 60 [--in-process]
 
 Unpaired runs of ``rmfbench/run.py`` on a machine whose speed swings between
 phases can hide a gain of a few percent; a paired share of faster jobs does
-not.  The jobs come from the new checkout's ``rmfbench``, which this script
-reads and does not change.  pytest does not collect this file.
+not.  Two worker processes can still differ by a few percent for reasons of
+their own, which a pair of processes cannot tell from a change in the code.  ``--in-process`` runs both sides in this one
+interpreter instead: each checkout's ``src/rmfruled`` is copied under its own
+package name (every import inside the package is relative), and each side's
+``cli.main`` is called as the worker calls it, after a ``gc.collect()``.
+
+The jobs come from the new checkout's ``rmfbench``, which this script reads
+and does not change.  pytest does not collect this file.
 """
 
 import argparse
+import gc
+import importlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 NEW = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(NEW / "rmfbench"))
+# ``jobs`` loads numpy before any rmfruled does; one BLAS thread, as there.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import jobs  # noqa: E402
 
 
@@ -57,6 +69,30 @@ class Worker:
             self.proc.wait(timeout=60)
 
 
+class InProcess:
+    """``root``'s package, copied into ``tmp`` as ``name`` and imported here;
+    runs a job as ``rmfbench/worker.py`` does."""
+
+    def __init__(self, root: Path, name: str, tmp: Path):
+        shutil.copytree(root / "src" / "rmfruled", tmp / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if str(tmp) not in sys.path:
+            sys.path.insert(0, str(tmp))
+        self.cli = importlib.import_module(f"{name}.cli")
+
+    def run(self, argv) -> dict:
+        gc.collect()
+        t0 = time.perf_counter()
+        try:
+            code = self.cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code if isinstance(exc.code, int) else 2
+        return {"code": code, "seconds": time.perf_counter() - t0}
+
+    def close(self):
+        pass
+
+
 def run_pair(workers: dict, order, job, work: Path) -> dict:
     """{side: (exit code, seconds, output bytes)} of ``job`` on each side."""
     cfg = work / "job.json"
@@ -79,15 +115,19 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=jobs.WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=60)
+    ap.add_argument("--in-process", action="store_true",
+                    help="run both sides in this interpreter, not in two workers")
     args = ap.parse_args(argv)
 
     workers = {}
     times = {"old": [], "new": []}
     faster = mismatched = 0
     try:
-        for side in ("old", "new"):
-            workers[side] = Worker(getattr(args, side).resolve())
         with tempfile.TemporaryDirectory() as tmp:
+            for side in ("old", "new"):
+                root = getattr(args, side).resolve()
+                workers[side] = (InProcess(root, f"rmfruled_{side}", Path(tmp))
+                                 if args.in_process else Worker(root))
             k = 0
             for r in range(args.rounds):
                 for job in jobs.make_round(args.workload, args.seed, r):

@@ -287,9 +287,21 @@ def _narrow_rmf(doc):
     (_with("director", "x1", "(" * 3000 + "s" + ")" * 3000), 2, "E_CONFIG:"),
     (lambda doc: doc.update(tolerances=None), 2, "E_CONFIG:"),
     (_narrow_rmf, 3, "E_GEOMETRY:"),
+    # a whole line as the prefix pins the exact message
+    (lambda doc: doc.pop("grid"), 2, "E_CONFIG: missing 'grid' in config\n"),
+    (lambda doc: doc.update(theta=5), 2, "E_CONFIG: theta must be a JSON object\n"),
+    (_with("curve", "s_range", [0]), 2,
+     "E_CONFIG: curve.s_range must be [min, max] with min < max\n"),
+    (lambda doc: doc["theta"].update(theta0=0), 2,
+     "E_CONFIG: theta mode 'explicit' takes exactly 'expr'\n"),
+    (_with("outputs", "format", "xml"), 2,
+     "E_CONFIG: outputs.format must be 'csv' or 'json'\n"),
+    (_with("outputs", "report", 5), 2, "E_CONFIG: outputs.report must be a path string\n"),
 ], ids=["n_s-str", "n_s-bool", "n_v-float", "n_s-huge", "v_range-str",
         "v_range-inf", "s_range-nan", "theta0-str", "tol_dev-str", "exp-overflow",
-        "dsl-deep", "tolerances-null", "rmf-range-narrow"])
+        "dsl-deep", "tolerances-null", "rmf-range-narrow", "grid-missing",
+        "theta-not-object", "s_range-short", "explicit-with-theta0", "format-xml",
+        "report-not-str"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix):
     doc = json.loads((CONFIGS / "example2.json").read_text())
     doc.setdefault("tolerances", {})
@@ -303,6 +315,47 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,text,extra,message", [
+    ("classify", "{", [], "E_CONFIG: config is not valid JSON: "),
+    ("verify", json.dumps({**json.loads((CONFIGS / "example2.json").read_text()),
+                           "expect": {"bogus": True}}), [],
+     "E_CONFIG: unknown expectation 'bogus'\n"),
+    ("surface", (CONFIGS / "example2.json").read_text(), ["--samples", "1"],
+     "E_CONFIG: --samples must be >= 2\n"),
+], ids=["json-invalid", "expect-unknown", "samples-1"])
+def test_config_guard_messages(tmp_path, capsys, command, text, extra, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out_dir / "result"),
+                 *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,key", [("frames", "report"), ("surface", "mesh"),
+                                         ("classify", "report"), ("verify", "report")])
+def test_outputs_path_resolves_against_the_working_directory(tmp_path, monkeypatch,
+                                                             command, key):
+    # Without --out a run writes the config's outputs path, relative to the
+    # working directory rather than to the config's own directory.
+    doc = json.loads((CONFIGS / "example1.json").read_text())
+    cfg_dir, work = tmp_path / "cfg", tmp_path / "work"
+    cfg_dir.mkdir()
+    work.mkdir()
+    cfg = cfg_dir / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "explicit")])
+    monkeypatch.chdir(work)
+    assert main([command, "--config", str(cfg)]) == code
+    name = doc["outputs"][key]
+    assert [p.name for p in work.iterdir()] == [name]
+    assert [p.name for p in cfg_dir.iterdir()] == ["c.json"]
+    assert (work / name).read_bytes() == (tmp_path / "explicit").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])

@@ -111,6 +111,11 @@ def test_validate_regular_line(line):
     assert not rep.usable_for_frenet
 
 
+def test_validate_regular_needs_two_samples(helix):
+    with pytest.raises(ValueError):
+        validate_regular(helix, 1)
+
+
 def test_validate_regular_cusp():
     c = CurveDef.from_strings("s^3", "s^2", "0", -1, 1)
     rep = validate_regular(c, 101)  # grid hits s = 0

@@ -41,6 +41,16 @@ def test_unbalanced_paren_offset():
     assert exc.value.expected
 
 
+def test_trailing_blank_is_ignored():
+    assert ex.parse("s ") == ex.Var()
+
+
+def test_unclosed_call_expects_its_parenthesis():
+    with pytest.raises(ex.ExprSyntaxError) as exc:
+        ex.parse("sin(s")
+    assert exc.value.offset == 5 and exc.value.expected == ("')'",)
+
+
 def test_trailing_garbage_offset():
     with pytest.raises(ex.ExprSyntaxError) as exc:
         ex.parse("1+2 )")

@@ -52,6 +52,11 @@ def test_theta_rmf_requires_increasing_grid(helix_2pi):
         theta_rmf(helix_2pi, 0.0, [0.0, 1.0, 0.5])
 
 
+def test_theta_rmf_requires_two_nodes(helix_2pi):
+    with pytest.raises(ValueError, match="at least two"):
+        theta_rmf(helix_2pi, 0.0, [1.0])
+
+
 def test_theta_rmf_across_inflection():
     # Planar curve with an inflection at s = 0: N flips there, so theta must
     # jump by pi while U itself stays continuous.
@@ -210,6 +215,17 @@ def test_double_reflection_rejects_bad_input():
     with pytest.raises(ValueError):
         double_reflection([np.zeros(3), np.ones(3)], tans,
                           np.array([1.0, 0.0, 0.0]))  # not perpendicular
+    with pytest.raises(ValueError, match="equal-length"):
+        double_reflection([np.zeros(3), np.ones(3), 2 * np.ones(3)], tans,
+                          np.array([0.0, 1.0, 0.0]))
+
+
+def test_double_reflection_keeps_u_when_the_tangents_agree():
+    # the reflected tangent equals the next one: the second reflection is void
+    tans = [np.array([0.0, 1.0, 0.0])] * 2
+    U, _ = double_reflection([np.zeros(3), np.array([1.0, 0.0, 0.0])], tans,
+                             np.array([0.0, 0.0, 1.0]))
+    assert U.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
 
 
 def test_double_reflection_fourth_order(helix_2pi):

@@ -9,10 +9,11 @@ vanishes there (the grid Frenet call gives NaN at that sample alone); and a
 director 1/s, whose grid evaluation is NaN at s = 0 alone.  No grid call
 raises for a failing sample, so a cusp costs a run a few float calls, not
 one per sample.  A grid stacked from two grids must give what the two give
-apart, and one ``verify`` or ``surface`` run makes a pinned number of curve
-passes (and ``verify`` one frame, one director-row and one batched
-determinant grid call).  The RMF angle table's rate pass must give what
-:func:`curve.frenet` gives, bit for bit, NaN for NaN and error for error.
+apart, ``RuledSurface.stack`` makes its stacked passes at once, and one
+``verify`` or ``surface`` run makes a pinned number of curve passes (and
+``verify`` one frame, one director-row and one batched determinant grid
+call).  The RMF angle table's rate pass must give what :func:`curve.frenet`
+gives, bit for bit, NaN for NaN and error for error.
 The probe that makes the float calls at failing samples,
 ``expr._float_path``, has a contract test of its own.
 """
@@ -160,8 +161,8 @@ def test_stacked_grids_equal_separate_calls(name):
 
 @pytest.mark.parametrize("name", sorted(STACKED))
 def test_stacked_caches_equal_separate_calls(name):
-    # After ``stack(a, b)`` the frame, director row and base-curve normal of
-    # a and of b are slices of one call on [a; b], and so is all built on them.
+    # After ``stack(a, b)`` the frame and director row of a and of b are
+    # slices of one call on [a; b], and so is all built on them.
     make, lo, hi = STACKED[name]
     a = np.linspace(lo, hi, 41)
     b = np.linspace(lo, hi, 23)[1:-1] + FD_STEP
@@ -172,6 +173,30 @@ def test_stacked_caches_equal_separate_calls(name):
         stacked.stack(a, b)
         assert [_bytes(call(stacked, t)) for t in (b, a)] == [
             _bytes(call(make(), t)) for t in (b, a)]
+
+
+def test_stack_is_eager():
+    # ``stack`` makes its frame and row passes at once; the grids then hit.
+    surface = SURFACES["proportional_normal_coeffs"][0]()
+    a = np.linspace(0.5, 5.0, 41)
+    b = a + FD_STEP
+    surface.stack(a, b)
+    assert surface._frame_at.cache_info().misses == 1
+    assert surface._row.cache_info().misses == 1
+    hits = surface._frame_at.cache_info().hits
+    surface.frame(a), surface.frame(b)
+    assert surface._frame_at.cache_info()[:2] == (hits + 2, 1)
+
+
+def test_keyed_cache_evicts_the_oldest_entry():
+    cache = ruled._Keyed(lambda s: s)
+    for s in range(ruled._Keyed.MAXSIZE + 1):
+        cache(float(s))
+    assert cache.cache_info() == (0, 8193, 8192, 8192)
+    cache(1.0)
+    assert cache.cache_info().hits == 1
+    cache(0.0)  # the oldest went first
+    assert cache.cache_info()[:2] == (1, 8194)
 
 
 def test_float_path_probe_contract():

@@ -82,6 +82,11 @@ def test_tangent_director_flags_flat_shaded(helix):
         assert np.isnan(mesh.normals[i * 5 + 2]).all()
 
 
+def test_tessellate_needs_two_rows_each_way(geodesic_example):
+    with pytest.raises(ValueError):
+        tessellate(geodesic_example, 1, 5)
+
+
 def test_face_indices_in_range(geodesic_example):
     mesh = tessellate(geodesic_example, 13, 6)
     assert mesh.faces.min() >= 0

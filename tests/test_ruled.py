@@ -29,6 +29,12 @@ def test_director_zero_rejected(geodesic_example):
         geodesic_example.director(0.0)
 
 
+@pytest.mark.parametrize("v_max", [-1.0, 1.0])
+def test_surface_def_needs_v_min_below_v_max(helix, v_max):
+    with pytest.raises(ValueError, match="v_min must be < v_max"):
+        make_surface(helix, RotationMinimizing(0.0), "0", "1", "0", 1.0, v_max)
+
+
 def test_director_golden_value(helix):
     # frozen regression value for x = (s^2, s^2, s), theta = atan(s) at s = 1
     surf = make_surface(helix, ExplicitTheta.from_string("atan(s)"),
@@ -293,6 +299,13 @@ def test_classify_planar_sin_zero(helix):
     assert rep.verdict == "yes"
     assert rep.special_case == "span{T,U}"
     assert rep.corollary_conditions["max |kappa*x1*x2*sin(theta) - phi*x2^2|"] < 1e-9
+
+
+def test_classify_binormal_of_the_rmf(helix):
+    # X = V under the RMF: V' is parallel to T, so det(T, V, V') = 0
+    rep = classify(make_surface(helix, RotationMinimizing(0.0), "0", "0", "1"))
+    assert (rep.verdict, rep.special_case) == ("yes", "X=V")
+    assert sorted(rep.corollary_conditions.values()) == [0.0, 0.0]
 
 
 def test_classify_residuals_carry_the_frame_rotation(helix):
