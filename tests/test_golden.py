@@ -15,7 +15,10 @@ more end in exit 3 (``pole_x3`` in all but `frames`): ``pole_x3`` (x3 =
 the RMF, whose angle table meets it), ``theta_pole`` (explicit theta 1/s),
 ``const_fail`` (x1 = exp(1000), failing at every sample), ``fast_sqrt``
 (|r'| = 1e110 on [0, 1], with x2 = sqrt(s)) and ``inf_theta`` (explicit
-theta 1e200*1e200*s, infinite without a DSL error).  ``straight`` (the line
+theta 1e200*1e200*s, infinite without a DSL error).  Three more pin grid
+overflow: ``big_v`` (``v_range`` +-1e200), ``big_x`` (x2 = 1e200*s on the
+twisted cubic) and ``fast_turn`` (the curve (s, sin(1e80 s), cos(1e80 s))
+under the RMF).  ``straight`` (the line
 (s, 0, 0) under theta = s, with no expectations) has no Frenet frame at any
 sample.  Each case records the exit code, the stderr text and the digest of
 the output file (null when none is written).
@@ -76,6 +79,14 @@ VARIANTS = {
                   {"curve": {"x": "1e110*s", "y": "cos(s)", "z": "sin(s)",
                              "s_range": [0, 1]},
                    "director": {"x2": "sqrt(s)"}}),
+    "big_v": ("proportional_normal_coeffs.json",
+              {"grid": {"n_s": 101, "n_v": 11, "v_range": [-1e200, 1e200]}}),
+    "big_x": ("example1.json",
+              {"curve": {"x": "s", "y": "s^2", "z": "s^3", "s_range": [-1, 1]},
+               "director": {"x2": "1e200*s"}}),
+    "fast_turn": ("example1.json",
+                  {"curve": {"x": "s", "y": "sin(1e80*s)", "z": "cos(1e80*s)",
+                             "s_range": [0, 1]}, "theta": RMF}),
 }
 
 
