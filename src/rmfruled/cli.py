@@ -204,7 +204,7 @@ def cmd_frames(job: JobConfig, out_path: str) -> int:
     fd, af = surface.frame(grid)
     table = np.column_stack([grid, fd.kappa, fd.tau, af.theta,
                              fd.T, fd.N, fd.B, af.U, af.V])
-    ex._float_path(surface.frame, grid, table)
+    ex._float_path(surface.frame, grid, table, quantity="frame")
     write_atomic(out_path, mesh_io.csv_table(cols, table))
     return 0
 
@@ -226,11 +226,6 @@ def cmd_classify(job: JobConfig, out_path: str) -> int:
     return 0
 
 
-def _check(checks: list, name: str, value: float, tol: float):
-    checks.append({"check": name, "max_abs": value, "tol": tol,
-                   "pass": bool(value < tol)})
-
-
 def cmd_verify(job: JobConfig, out_path: str) -> int:
     surface = RuledSurface(job.surface)
     grid = _s_grid(job)
@@ -241,6 +236,12 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
     usable = ~np.isnan(k_g)
 
     checks = []
+
+    def check(name, rows, residual, tol):
+        value = ruled._max_abs(ex._finite(name, grid[rows], residual[rows]))
+        checks.append({"check": name, "max_abs": value, "tol": tol,
+                       "pass": bool(value < tol)})
+
     if usable.any():
         for name, closed, oracle in (
                 ("k_g closed vs <NxT,T'>", k_g, invariants.geodesic_curvature_numeric),
@@ -249,22 +250,19 @@ def cmd_verify(job: JobConfig, out_path: str) -> int:
                  invariants.geodesic_torsion_numeric),
                 ("rho closed vs <N',NxT>", rho,
                  invariants.curvature_line_residual_numeric)):
-            numeric = oracle(surface, grid)[usable]
-            ex._float_path(lambda t: oracle(surface, t), grid[usable], numeric)
-            _check(checks, name + " oracle", ruled._max_abs(closed[usable] - numeric),
-                   invariants.TOL_FD)
-        _check(checks, "tau_g = -k_g*k_n identity",
-               ruled._max_abs((tau_g + k_g * k_n)[usable]), 1e-10)
+            name, numeric = name + " oracle", oracle(surface, grid)
+            ex._float_path(lambda t: oracle(surface, t), grid[usable], numeric[usable],
+                           (), name)
+            check(name, usable, closed - numeric, invariants.TOL_FD)
+        check("tau_g = -k_g*k_n identity", usable, tau_g + k_g * k_n, 1e-10)
     framed = ~np.isnan(kappa)
     if not framed.any():
         raise GeometryError("no usable samples on the verify grid")
-    err = np.abs(surface.director_derivative_closed(grid)[1]
-                 - surface.director_derivative_numeric(grid))[framed]
-    _check(checks, "closed vs numeric director derivative",
-           max(np.max(err, axis=1).tolist()), 1e-8)
-    det_err = surface.ruling_det(grid) - surface.det_numerator_closed(grid)
-    _check(checks, "det(T,X,X') vs closed numerator", ruled._max_abs(det_err[framed]),
-           1e-8)
+    check("closed vs numeric director derivative", framed,
+          surface.director_derivative_closed(grid)[1]
+          - surface.director_derivative_numeric(grid), 1e-8)
+    check("det(T,X,X') vs closed numerator", framed,
+          surface.ruling_det(grid) - surface.det_numerator_closed(grid), 1e-8)
 
     expect_results = []
     flag_map = {
@@ -350,8 +348,8 @@ def main(argv=None) -> int:
         out = _resolve_out(args, job)
         handler = {"frames": cmd_frames, "surface": cmd_surface,
                    "classify": cmd_classify, "verify": cmd_verify}[args.command]
-        # Overflow or NaN in vector arithmetic is a geometry error, not a warning.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # NaN and inf are silent; expr._float_path locates those that matter.
+        with np.errstate(all="ignore"):
             return handler(job, out)
     except ConfigError as err:
         print(f"E_CONFIG: {err}", file=sys.stderr)

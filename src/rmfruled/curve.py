@@ -155,6 +155,11 @@ def _guard(value, bad, error):
     return value
 
 
+def _overflows(norm, message):
+    """``norm``; where it overflows, NaN on a grid and FloatingPointError at a float."""
+    return _guard(norm, norm == math.inf, lambda: FloatingPointError(message()))
+
+
 def _check_speed(too_fast, d1: np.ndarray, t):
     """Raise FloatingPointError at the first sample where ``too_fast`` holds,
     giving |r'| there by ``math.hypot``, which does not overflow."""
@@ -180,7 +185,7 @@ def _apparatus(c: CurveDef, t):
     speed = _speed(d1, t)
     _check_speed(speed > MAX_SPEED, d1, t)
     cr = vec_cross(d1, d2)
-    ncr = vec_norm(cr)
+    ncr = _overflows(vec_norm(cr), lambda: f"|r' x r''| overflows at t={t}")
     kappa = ncr / ex.power(speed, 3)
     # a grid row without a tangent has NaN kappa, and no frame either
     ncr = _guard(ncr, ~(kappa > EPS_REG) if isinstance(kappa, np.ndarray)

@@ -19,7 +19,8 @@ additionally requires a positive base.
 Every grid evaluation in the package, from these jets up, keeps one rule,
 the float path: a grid call does not raise for a failing sample; where the
 float call would raise, the grid gives NaN, and the float call there decides,
-naming the skip reason or ending the job with its own error.
+naming the skip reason or ending the job with its own error; where it raises
+nothing, the value overflowed, and a reported one ends the job naming it and s.
 :func:`_float_path` is the one probe that makes those float calls.
 """
 
@@ -171,7 +172,7 @@ def _apply(fn, x):
 def power(x, p: float):
     """``x ** p`` with the rounding of a float power, elementwise on an array.
     Where the float power raises (overflow, or zero to a negative power), the
-    array element is +-inf and numpy's floating-point error state applies."""
+    array element is +-inf."""
     if isinstance(x, np.ndarray):
         return np.float_power(x, p)
     return x ** p
@@ -182,10 +183,11 @@ def _on_float(cond) -> bool:
     return not isinstance(cond, np.ndarray) and cond
 
 
-def _float_path(fn, s: np.ndarray, values, catch=()):
+def _float_path(fn, s: np.ndarray, values, catch=(), quantity=None):
     """(ok, {index: error class name}) from ``fn(float(s[i]))`` at each row i
     of ``values`` that is not all finite, in index order; ``ok`` is False where
-    it raised ``catch``.  Other errors propagate: with no ``catch``, the first."""
+    it raised ``catch``.  Other errors propagate: with no ``catch``, the first.
+    With a ``quantity``, a call raising nothing raises "<quantity> is not finite"."""
     ok, failed = np.ones(len(s), dtype=bool), {}
     finite = np.isfinite(values)  # one reduction where all are, as on most grids
     for i in [] if finite.all() else np.flatnonzero(
@@ -195,7 +197,15 @@ def _float_path(fn, s: np.ndarray, values, catch=()):
         except catch as err:
             ok[i] = False
             failed[i] = type(err).__name__
+        if quantity and ok[i]:
+            raise FloatingPointError(f"{quantity} is not finite at s={float(s[i])}")
     return ok, failed
+
+
+def _finite(quantity: str, s: np.ndarray, values):
+    """``values``, through :func:`_float_path` with a float call raising nothing."""
+    _float_path(lambda t: None, s, values, quantity=quantity)
+    return values
 
 
 def _stacked(fn, grids, axis=0) -> list:

@@ -107,10 +107,6 @@ def _tangent_arc_derivative(surface: RuledSurface, s):
     return _arc_derivative(surface, s, lambda t: surface.frame(t)[0].T)
 
 
-def _normal_arc_derivative(surface: RuledSurface, s):
-    return _arc_derivative(surface, s, surface.base_normal)
-
-
 def geodesic_curvature_numeric(surface: RuledSurface, s):
     """< N x T, T' > with a finite-difference tangent derivative."""
     n = surface.base_normal(s)
@@ -127,14 +123,14 @@ def normal_curvature_numeric(surface: RuledSurface, s):
 
 def geodesic_torsion_numeric(surface: RuledSurface, s):
     """< N x N', T' > by finite differences of the v=0 surface normal."""
-    n, dn = _normal_arc_derivative(surface, s)
+    n, dn = _arc_derivative(surface, s, surface.base_normal)
     _, Tp = _tangent_arc_derivative(surface, s)
     return vec_dot(vec_cross(n, dn), Tp)
 
 
 def curvature_line_residual_numeric(surface: RuledSurface, s):
     """< N', N x T > by finite differences of the v=0 surface normal."""
-    n, dn = _normal_arc_derivative(surface, s)
+    n, dn = _arc_derivative(surface, s, surface.base_normal)
     return vec_dot(dn, vec_cross(n, surface.frame(s)[0].T))
 
 
@@ -177,22 +173,25 @@ def base_curve_report(surface: RuledSurface, s_values,
     fd, af = surface.frame(s)
     # X is NaN wherever a coefficient, T, U or V is (U at a flat sample)
     framed, _ = ex._float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
-                               s, X, GeometryError)
+                               s, X, GeometryError, "X")
     _director_scale(jets)
     x1, x2, x3 = (j.value for j in jets)
     w2 = x2 * x2 + x3 * x3
-    tangent = framed & (w2 <= EPS_REG ** 2)
+    used = framed & ~(w2 <= EPS_REG ** 2)  # framed, and the ruling not tangent
     kappa, th = fd.kappa, af.theta
-    closed = np.where(framed & ~tangent, [
+    closed = np.where(used, [
         geodesic_curvature(x2, x3, th, kappa), normal_curvature(x2, x3, th, kappa),
         geodesic_torsion(x2, x3, th, kappa), curvature_line_residual_closed(surface, s),
         *condition_residuals(x2, x3, th)], np.nan)
+    for name, column in zip(COLUMNS[8:], closed):
+        ex._finite(name, s[used], column[used])
     frame_cols = np.where(framed, [kappa, fd.tau, th], np.nan)
     P = np.where(framed, surface.distribution_parameter(s), np.nan)
+    ex._float_path(surface.distribution_parameter, s[framed], P[framed], GeometryError,
+                   "P")
     table = np.vstack([s, frame_cols, x1, x2, x3, P, closed]).T
 
     parallel_tangent = np.fmax.reduce(w2, initial=0.0) <= EPS_REG ** 2
-    used = framed & ~tangent
 
     def holds(res):  # a NaN residual at a used sample fails the condition
         vals = np.abs(res[used])

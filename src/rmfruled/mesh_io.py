@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curve import vec_cross, vec_dot, vec_norm
+from .curve import EPS_REG, vec_cross, vec_dot, vec_norm
 from .invariants import COLUMNS as CSV_COLUMNS, BaseCurveReport
 from .record import Record, fields
 from .ruled import ClassificationReport, RuledSurface, _director_scale
@@ -41,10 +41,10 @@ class Mesh(Record):
 def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     """Uniform-grid tessellation; each quad splits along its shorter diagonal.
 
-    Points and normals are one grid call each; a director that is zero at
-    every grid node raises :class:`ZeroDirector`.  A triangle is wound
-    counterclockwise about the mean of its vertices' normals, missing
-    normals left out of the mean.
+    Points and normals are one grid call each; a zero director at every grid
+    node raises :class:`ZeroDirector`, a normal is missing only where the
+    partials degenerate, and a triangle is wound counterclockwise about the
+    mean of its vertices' normals, missing normals left out of the mean.
     """
     if n_s < 2 or n_v < 2:
         raise ValueError("n_s and n_v must be >= 2")
@@ -52,10 +52,16 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
     verts = surface.point(s_vals, v_vals).swapaxes(0, 1)
-    ex._float_path(lambda s: surface.point(s, v_vals), s_vals, verts)
+    ex._float_path(lambda s: surface.point(s, v_vals), s_vals, verts, (), "point")
     _director_scale(surface._row(s_vals)[0])
     verts = verts.reshape(-1, 3)
-    norms = surface.normal(s_vals, v_vals).swapaxes(0, 1).reshape(-1, 3)
+    norms = surface.normal(s_vals, v_vals)
+    if np.isnan(norms).any():  # the float call decides where no partials degenerate
+        nn = vec_norm(vec_cross(*surface.partials(s_vals, v_vals)))
+        for v, bad in zip(v_vals.tolist(), np.isnan(norms[..., 0]) & ~(nn <= EPS_REG)):
+            ex._float_path(lambda s: surface.normal(s, v), s_vals,
+                           np.where(bad, np.nan, 0.0), (), "normal")
+    norms = norms.swapaxes(0, 1).reshape(-1, 3)
 
     grid = np.arange(n_s * n_v).reshape(n_s, n_v)
     a, b = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()

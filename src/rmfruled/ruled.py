@@ -20,7 +20,7 @@ import collections
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, _guard, _per_sample, vec_cross, vec_dot, vec_norm
+from .curve import EPS_REG, _guard, _overflows, _per_sample, vec_cross, vec_dot, vec_norm
 from .errors import (CylindricalPoint, GeometryError, SingularPoint,
                      TangentRuling, ZeroDirector)
 from .frame import FrameField, _cos_sin, frame_angular_velocity, frame_derivatives
@@ -77,8 +77,8 @@ class _Keyed:
 
 
 def _max_abs(a) -> float:
-    """max |a| as Python's ``max`` takes it (NaN counts only if first)."""
-    return max(np.abs(a).tolist())
+    """max |a| over every element; NaN if any is NaN."""
+    return float(np.max(np.abs(a)))
 
 
 def _director_scale(jets) -> np.ndarray:
@@ -152,9 +152,9 @@ class RuledSurface:
         self._normal0 = _Keyed(self._base_normal)
 
     def stack(self, *grids):
-        """Evaluate the frames, then the director rows, of ``grids`` now, one
-        pass each over the grids stacked end to end, for later calls to hit."""
-        for cache in (self._frame_at, self._row):
+        """Evaluate the frames, director rows and base normals of ``grids`` now,
+        one pass each over the grids stacked end to end, for later calls to hit."""
+        for cache in (self._frame_at, self._row, self._normal0):
             cache.stack(grids)
 
     def frame(self, s):
@@ -225,7 +225,7 @@ class RuledSurface:
         m = np.stack([self.frame(s)[0].T, X, Xp], axis=-1)
         if m.ndim == 2:
             return float(np.linalg.det(m))
-        with np.errstate(invalid="ignore"):  # NaN rows, where a float raises
+        with np.errstate(invalid="ignore"):  # NaN rows warn outside the CLI
             det = np.linalg.det(m)
         det.flags.writeable = False
         return det
@@ -262,10 +262,10 @@ class RuledSurface:
 
     def normal(self, s, v) -> np.ndarray:
         """Unit surface normal, oriented as d_s x d_v and shaped as ``point``;
-        floats s and v raise where the partials degenerate, else NaN rows."""
+        floats s and v raise where the partials degenerate or overflow, else NaN."""
         d_s, d_v = self.partials(s, v)
         n = vec_cross(d_s, d_v)
-        nn = vec_norm(n)
+        nn = _overflows(vec_norm(n), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
         if isinstance(nn, np.ndarray):
             return n / np.where(nn <= EPS_REG, np.nan, nn)[..., None]
         if nn <= EPS_REG:
@@ -300,7 +300,7 @@ class RuledSurface:
         dsv = (ppp - ppm - pmp + pmm) / (4 * h ** 2)
         E, F, G = vec_dot(d_s, d_s), vec_dot(d_s, d_v), vec_dot(d_v, d_v)
         cr = vec_cross(d_s, d_v)
-        ncr = vec_norm(cr)
+        ncr = _overflows(vec_norm(cr), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
         ncr = _guard(ncr, ncr <= EPS_REG,
                      lambda: SingularPoint(f"degenerate partials at (s={s}, v={v})"))
         n = cr / _per_sample(ncr)
@@ -339,7 +339,7 @@ def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_
     dets = surface.ruling_det(s_vals)
     ok, failed = ex._float_path(
         lambda s: (surface.coefficients(s), surface.ruling_det(s)), s_vals, dets,
-        GeometryError)
+        GeometryError, "det(T,X,X')")
     skipped = [(float(s_vals[i]), name) for i, name in failed.items()]
     max_abs = _director_scale(surface._row(s_vals)[0])
     if not ok.any():
@@ -370,17 +370,18 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     # Each residual is |det(T, X, X')| on its span; phi*x*x is 0 where phi is.
     conditions = {}
     notes = []
+
+    def worst(name, residual):
+        conditions[f"max |{name}|"] = _max_abs(ex._finite(name, s_vals[ok], residual))
     if tag in ("span{T,U}", "X=T", "X=U"):
-        conditions["max |kappa*x1*x2*sin(theta) - phi*x2^2|"] = _max_abs(
-            k * x1 * x2 * sn - phi * x2 * x2)
+        worst("kappa*x1*x2*sin(theta) - phi*x2^2", k * x1 * x2 * sn - phi * x2 * x2)
         if max_abs[1] <= EPS_REG or max_abs[0] <= EPS_REG and _max_abs(phi) <= EPS_REG:
             notes.append("x1*x2 vanishes on the grid; condition holds trivially")
     if tag in ("span{T,V}", "X=T", "X=V"):
-        conditions["max |kappa*x1*x3*cos(theta) - phi*x3^2|"] = _max_abs(
-            k * x1 * x3 * c - phi * x3 * x3)
+        worst("kappa*x1*x3*cos(theta) - phi*x3^2", k * x1 * x3 * c - phi * x3 * x3)
     if tag in ("span{U,V}", "X=U", "X=V"):
-        conditions["max |x2*x3' - x3*x2' + phi*(x2^2 + x3^2)|"] = _max_abs(
-            x2 * d3 / sp - x3 * d2 / sp + (phi * x2 * x2 + phi * x3 * x3))
+        worst("x2*x3' - x3*x2' + phi*(x2^2 + x3^2)",
+              x2 * d3 / sp - x3 * d2 / sp + (phi * x2 * x2 + phi * x3 * x3))
 
     # Gaussian-curvature cross-check on a coarse interior grid.
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)
@@ -390,10 +391,11 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     K = np.empty((len(s_sub), len(v_interior)))
     for j, v in enumerate(v_interior):
         K[:, j] = surface.sample(s_sub, v).K
-    # K is not finite there, although the float call does not raise either.
-    unexplained = np.transpose([~np.isfinite(k) & ex._float_path(
-        lambda s: surface.sample(s, v), s_sub, k, GeometryError)[0]
-        for v, k in zip(v_interior, K.T)]).reshape(K.shape)
+    unexplained = ~np.isfinite(K)  # where no GeometryError of the float call explains it
+    for j, v in enumerate(v_interior):
+        for i, name in ex._float_path(lambda s: surface.sample(s, v), s_sub, K[:, j],
+                                      (GeometryError, FloatingPointError))[1].items():
+            unexplained[i, j] = name == "FloatingPointError"
     skipped += [(float(s_sub[i]), "NonFiniteK") for i in np.nonzero(unexplained)[0]]
     max_K = float(np.abs(K[np.isfinite(K)]).max(initial=0.0))
 

@@ -8,7 +8,11 @@ and sometimes tolerances and expectations.  Each config runs through
 ``frames``, ``surface``, ``classify`` (as CSV and as JSON) and ``verify``,
 each in a fresh directory through ``cli.main`` in this process.  The table
 maps ``<config>:<run>`` to the exit code, the stderr text, the SHA-256 of the
-output file (null if none) and the names of the files left behind.
+output file (null if none), the names of the files left behind, and
+``nonfinite``: whether a run that exited 0 or 1 wrote a non-finite number
+where a verdict or a mesh rests on it (a ``classify`` JSON ``max_abs_det``,
+``max_interior_abs_K`` or corollary residual, a ``verify`` check's
+``max_abs``, an OBJ ``v`` row, or a ``vn`` row whose length is not 1).
 
 Compare two versions of the package by running the same seed and count on
 each checkout, then diffing the tables:
@@ -19,8 +23,9 @@ each checkout, then diffing the tables:
     python tests/differential.py diff old.json new.json
 
 ``diff`` prints every run whose exit code, output or leftover files differ,
-and each distinct stderr change with its count; it exits 1 if any run
-differs in more than its stderr.  pytest does not collect this file.
+each distinct stderr change with its count, and every run of the new table
+marked ``nonfinite``; it exits 1 if any run differs in more than its stderr
+or the new table has a ``nonfinite`` run.  pytest does not collect this file.
 """
 
 import argparse
@@ -28,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -101,6 +107,30 @@ def make_config(seed: int) -> dict:
     return doc
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def nonfinite(cmd: str, text: str) -> bool:
+    """Whether the output ``text`` of ``cmd`` holds a non-finite number that a
+    verdict or a mesh rests on."""
+    if cmd == "classify-json":
+        doc = json.loads(text)
+        return not all(map(_finite, [doc["max_abs_det"], doc["max_interior_abs_K"],
+                                     *doc["corollary_conditions"].values()]))
+    if cmd == "verify":
+        return not all(_finite(c["max_abs"]) for c in json.loads(text)["checks"])
+    if cmd == "surface":
+        for line in text.splitlines():
+            kind, *xyz = line.split()
+            if kind in ("v", "vn"):
+                vec = [float(x) for x in xyz]
+                if not all(map(math.isfinite, vec)) or (
+                        kind == "vn" and abs(math.hypot(*vec) - 1.0) > 1e-6):
+                    return True
+    return False
+
+
 def run_one(main, doc: dict, cmd: str, extra: list) -> dict:
     """One subcommand on ``doc`` in a fresh directory."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,10 +141,11 @@ def run_one(main, doc: dict, cmd: str, extra: list) -> dict:
         with contextlib.redirect_stderr(err):
             code = main([cmd.split("-")[0], "--config", str(cfg), "--out", str(out),
                          *extra])
-        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        data = out.read_bytes() if out.exists() else None
         left = sorted(set(os.listdir(tmp)) - {"config.json", "out"})
         return {"exit": code, "stderr": err.getvalue().replace(tmp, "<dir>"),
-                "sha256": digest, "left": left}
+                "sha256": data and hashlib.sha256(data).hexdigest(), "left": left,
+                "nonfinite": code in (0, 1) and nonfinite(cmd, data.decode())}
 
 
 def cmd_run(args) -> int:
@@ -146,9 +177,14 @@ def cmd_diff(args) -> int:
             stderr[(a["stderr"].strip(), b["stderr"].strip())] += 1
     for (a, b), count in stderr.most_common():
         print(f"stderr x{count}:\n  - {a}\n  + {b}")
+    bad = [key for key in sorted(new, key=lambda k: (int(k.split(":")[0]), k))
+           if new[key].get("nonfinite")]
+    for key in bad:
+        print(f"{key}: nonfinite output (exit {new[key]['exit']})")
     print(f"{len(old)} runs: {hard} differ in exit code, output or leftover files; "
-          f"{sum(stderr.values())} differ in stderr")
-    return 1 if hard else 0
+          f"{sum(stderr.values())} differ in stderr; {len(bad)} nonfinite in the new "
+          f"table")
+    return 1 if hard or bad else 0
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ import pytest
 from conftest import CONFIGS
 from rmfruled import ruled
 from rmfruled.cli import load_config, main
+from test_golden import _run
 
 
 def run(tmp_path, *argv):
@@ -248,6 +249,19 @@ def _assert_too_fast(tmp_path, capsys, command, theta, speed):
     assert capsys.readouterr().err == (
         f"E_GEOMETRY: |r'|^3 overflows: |r'|={float(speed):.3e} at t=0.0\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+@pytest.mark.parametrize("variant", ["big_v", "big_x", "fast_turn"])
+def test_grid_overflow_ends_in_one_located_line(tmp_path, command, variant):
+    # v_range +-1e200, x2 = 1e200*s and a curve turning at 1e80 rad per unit
+    # overflow on the grid: a job ends with one line of its own, or finishes
+    result = _run(command, variant, [], tmp_path)
+    assert result["exit"] in (0, 1, 2, 3)
+    assert result["stderr"].count("\n") == (result["exit"] >= 2)
+    assert "encountered" not in result["stderr"] and "Traceback" not in result["stderr"]
+    assert (result["sha256"] is None) == (result["exit"] >= 2)
 
 
 def _with(section, key, value):

@@ -213,6 +213,18 @@ def test_speed_squared_overflow_is_checked_before_squaring(fn, t):
         fn(c, t)
 
 
+def test_overflowing_binormal_norm_is_nan_on_a_grid_and_raises_at_a_float():
+    # |r' x r''| ~ 1e240 is finite, but its squared norm overflows: dividing by
+    # the norm inf would give a zero binormal
+    c = CurveDef.from_strings("s", "sin(1e80*s)", "cos(1e80*s)", 0, 1)
+    with np.errstate(all="ignore"):
+        fd = frenet(c, np.linspace(0.0, 1.0, 5))
+        assert np.isfinite(fd.T).all()
+        assert np.isnan(fd.B).all() and np.isnan(fd.N).all() and np.isnan(fd.kappa).all()
+        with pytest.raises(FloatingPointError, match=r"^\|r' x r''\| overflows at t=0.5$"):
+            frenet(c, 0.5)
+
+
 _SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, np.inf, -np.inf, np.nan]
 
 

@@ -161,8 +161,8 @@ def test_stacked_grids_equal_separate_calls(name):
 
 @pytest.mark.parametrize("name", sorted(STACKED))
 def test_stacked_caches_equal_separate_calls(name):
-    # After ``stack(a, b)`` the frame and director row of a and of b are
-    # slices of one call on [a; b], and so is all built on them.
+    # After ``stack(a, b)`` the frame, director row and base normal of a and
+    # of b are slices of one call on [a; b], and so is all built on them.
     make, lo, hi = STACKED[name]
     a = np.linspace(lo, hi, 41)
     b = np.linspace(lo, hi, 23)[1:-1] + FD_STEP
@@ -186,6 +186,16 @@ def test_stack_is_eager():
     hits = surface._frame_at.cache_info().hits
     surface.frame(a), surface.frame(b)
     assert surface._frame_at.cache_info()[:2] == (hits + 2, 1)
+
+
+def test_stack_covers_base_normals():
+    # the base normals of all the stacked grids are one pass too
+    surface = SURFACES["proportional_normal_coeffs"][0]()
+    a = np.linspace(0.5, 5.0, 41)
+    surface.stack(a, a + FD_STEP, a - FD_STEP)
+    assert surface._normal0.cache_info().misses == 1
+    surface.base_normal(a), surface.base_normal(a - FD_STEP)
+    assert surface._normal0.cache_info()[:2] == (2, 1)
 
 
 def test_keyed_cache_evicts_the_oldest_entry():

@@ -8,7 +8,7 @@ from rmfruled.curve import CurveDef
 from rmfruled.errors import SingularPoint, TangentRuling, ZeroDirector
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.record import fields
-from rmfruled.ruled import SurfaceSample, classify
+from rmfruled.ruled import SurfaceSample, _max_abs, classify
 
 
 def test_director_tangent_case(helix):
@@ -364,3 +364,37 @@ def test_classify_notes_curvature_against_yes_verdict(helix):
     rep = classify(surf, n_s=51, n_v=9, tol_dev=1e3)  # det alone now says "yes"
     assert rep.verdict == "yes" and rep.max_interior_abs_K > rep.tol_K
     assert any("tol_K" in n for n in rep.notes)
+
+
+HELIX_UP = CurveDef.from_strings("3/5*cos(s)", "3/5*sin(s)", "4/5*s", 0.5, 5.0)
+
+
+def test_overflowing_normal_is_nan_on_a_grid_and_raises_at_a_float():
+    # |d_s x d_v| ~ 1e200 is finite, but its squared norm overflows: dividing
+    # by the norm inf would give a zero "unit" normal
+    surf = make_surface(HELIX_UP, RotationMinimizing(0.0), "0", "2*s", "s")
+    with np.errstate(all="ignore"):
+        assert np.isnan(surf.normal(np.linspace(0.5, 5.0, 7), 1e200)).all()
+        with pytest.raises(FloatingPointError,
+                           match=r"^\|d_s x d_v\| overflows at \(s=1.0, v=1e\+200\)$"):
+            surf.normal(1.0, 1e200)
+
+
+def test_overflowing_sample_normal_is_nan_on_a_grid_and_raises_at_a_float():
+    # x2 = 1e100 makes both finite-difference partials about 1e100
+    surf = make_surface(HELIX_UP, RotationMinimizing(0.0), "0", "1e100", "0")
+    with np.errstate(all="ignore"):
+        sample = surf.sample(np.linspace(0.5, 5.0, 7), 1.0)
+        assert np.isnan(sample.normal).all() and np.isnan(sample.K).all()
+        with pytest.raises(FloatingPointError,
+                           match=r"^\|d_s x d_v\| overflows at \(s=1.0, v=1.0\)$"):
+            surf.sample(1.0, 1.0)
+
+
+def test_max_abs_counts_every_nan():
+    assert _max_abs(np.array([1.0, -3.0, 2.0])) == 3.0
+    assert math.isnan(_max_abs(np.array([1.0, math.nan])))
+    rows = np.array([[1.0, -4.0, 0.5], [2.0, 3.0, -1.0]])
+    assert _max_abs(rows) == 4.0 and type(_max_abs(rows)) is float
+    rows[1, 2] = math.nan
+    assert math.isnan(_max_abs(rows))
