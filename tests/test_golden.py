@@ -34,6 +34,9 @@ The digests live in ``golden_digests.json``.  Regenerate them, only for a
 change that is meant to alter an output, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints one line per case whose exit code, stderr or digest moved,
+old -> new (or "no case moved").
 """
 
 import contextlib
@@ -136,10 +139,37 @@ def test_output_matches_golden_digest(tmp_path, case):
     assert _run(*CASES[case], tmp_path) == want
 
 
+def _moves(old: dict, new: dict) -> list:
+    """One line per case whose exit code, stderr or digest moved, old -> new."""
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        was, now = old.get(case), new.get(case)
+        if was is None or now is None:
+            lines.append(f"{case}: {'added' if was is None else 'removed'}")
+            continue
+        moved = [f"{key} {was[key]!r} -> {now[key]!r}"
+                 for key in ("exit", "stderr", "sha256") if was[key] != now[key]]
+        if moved:
+            lines.append(f"{case}: " + "; ".join(moved))
+    return lines
+
+
+def test_moves_names_each_moved_field():
+    old = {"a": {"exit": 0, "stderr": "", "sha256": "1"},
+           "b": {"exit": 3, "stderr": "E\n", "sha256": None}}
+    new = {"a": {"exit": 0, "stderr": "", "sha256": "2"},
+           "b": {"exit": 3, "stderr": "E\n", "sha256": None},
+           "c": {"exit": 0, "stderr": "", "sha256": "3"}}
+    assert _moves(old, new) == ["a: sha256 '1' -> '2'", "c: added"]
+    assert _moves(new, old) == ["a: sha256 '2' -> '1'", "c: removed"]
+
+
 if __name__ == "__main__":
     table = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             table[case] = _run(*CASES[case], Path(tmp))
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    print("\n".join(_moves(recorded, table)) or "no case moved")
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     sys.exit(0)
