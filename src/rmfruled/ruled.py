@@ -391,13 +391,22 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     K = np.empty((len(s_sub), len(v_interior)))
     for j, v in enumerate(v_interior):
         K[:, j] = surface.sample(s_sub, v).K
-    unexplained = ~np.isfinite(K)  # where no GeometryError of the float call explains it
+    # Each non-finite K is skipped under the float call's error there, once per
+    # (s, name) beside det_verdict's entries, or as NonFiniteK where it raised
+    # FloatingPointError or nothing.
+    names = np.where(np.isfinite(K), None, "NonFiniteK")
     for j, v in enumerate(v_interior):
         for i, name in ex._float_path(lambda s: surface.sample(s, v), s_sub, K[:, j],
                                       (GeometryError, FloatingPointError))[1].items():
-            unexplained[i, j] = name == "FloatingPointError"
-    skipped += [(float(s_sub[i]), "NonFiniteK") for i in np.nonzero(unexplained)[0]]
+            if name != "FloatingPointError":
+                names[i, j] = name
+    for i, j in zip(*np.nonzero(names)):
+        entry = (float(s_sub[i]), names[i, j])
+        if entry[1] == "NonFiniteK" or entry not in skipped:
+            skipped.append(entry)
     max_K = float(np.abs(K[np.isfinite(K)]).max(initial=0.0))
+    if not np.isfinite(K).any():
+        notes.append("no interior K sample was usable; the K cross-check is void")
 
     if verdict == "yes" and max_K > tol_K:
         # A "no" with small K is consistent (K scales as det^2); this is not.

@@ -355,6 +355,31 @@ def test_classify_lists_nonfinite_K_as_skipped(helix, monkeypatch):
     bad = [s for s, reason in rep.skipped_samples if reason == "NonFiniteK"]
     assert len(bad) == 13 * 2  # every s-row at both interior v != 0
     assert rep.max_interior_abs_K == 0.0
+    assert any("no interior K sample" in note for note in rep.notes)
+
+
+def test_classify_lists_K_samples_whose_float_call_raises():
+    # At v = +-1e200 the K stencil's step vanishes beside v, so the float call
+    # raises SingularPoint at every interior sample: each s is listed once,
+    # and the report says that no K sample was usable.
+    surf = make_surface(HELIX_UP, RotationMinimizing(0.0), "0", "2*s", "s",
+                        -1e200, 1e200)
+    with np.errstate(all="ignore"):
+        rep = classify(surf, n_s=13, n_v=5)
+    s_vals = np.linspace(0.5, 5.0, 13).tolist()
+    assert [list(x) for x in rep.skipped_samples] == [[s, "SingularPoint"] for s in s_vals]
+    assert rep.max_interior_abs_K == 0.0
+    assert "no interior K sample was usable; the K cross-check is void" in rep.notes
+
+
+def test_classify_lists_a_K_failure_once_beside_det_verdict():
+    # kappa vanishes at the node s = 0: det_verdict skips it, and so does
+    # every interior K sample there, under the same name
+    c = CurveDef.from_strings("s", "s^3", "s^4", -1, 1)
+    rep = classify(make_surface(c, RotationMinimizing(0.0), "0", "1", "0"),
+                   n_s=13, n_v=5)
+    assert [list(x) for x in rep.skipped_samples] == [[0.0, "VanishingCurvature"]]
+    assert not any("K cross-check" in note for note in rep.notes)
 
 
 def test_classify_notes_curvature_against_yes_verdict(helix):
