@@ -12,9 +12,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .curve import CurveDef, FrenetData, eval_curve, frenet, validate_regular
 from .expr import Jet3, eval_jet, parse, to_string
-from .frame import (AdaptedFrame, ExplicitTheta, FrameField, RotationMinimizing,
-                    adapted_frame, double_reflection, frame_derivatives,
-                    theta_rmf)
+from .frame import (AdaptedFrame, AngleTable, ExplicitTheta, FrameField,
+                    RotationMinimizing, adapted_frame, double_reflection,
+                    frame_derivatives, theta_rmf)
 from .invariants import (base_curve_report, geodesic_curvature,
                          geodesic_torsion, normal_curvature)
 from .mesh_io import Mesh, tessellate, write_obj
@@ -24,7 +24,7 @@ from .ruled import (ClassificationReport, DirectorField, RuledSurface,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedFrame", "ClassificationReport", "CurveDef", "DirectorField",
+    "AdaptedFrame", "AngleTable", "ClassificationReport", "CurveDef", "DirectorField",
     "ExplicitTheta", "FrameField", "FrenetData", "Jet3", "Mesh",
     "RotationMinimizing", "RuledSurface", "RuledSurfaceDef", "adapted_frame",
     "base_curve_report", "classify", "double_reflection", "eval_curve",

@@ -10,7 +10,9 @@ The frame itself is U = cos(theta) N + sin(theta) B, V = -sin(theta) N +
 cos(theta) B.  Discrete RMF propagation via double reflection is provided
 both as a standalone operation and as the fallback for integrating theta
 across curvature-free points, where tau is undefined but the RMF is not.
-Frames, angles and frame derivatives take a float or a 1-D grid, as
+The RMF angle is tabulated once per curve, on 256 uniform cells where their
+own Richardson check (Simpson on h against 2h) shows an error of at most
+``TOL_TABLE``, and on 2048 cells otherwise.  Frames, angles and frame derivatives take a float or a 1-D grid, as
 :func:`curve.frenet` does, each grid element equal to the float evaluation.
 """
 
@@ -27,7 +29,9 @@ from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
 from .errors import GeometryError, VanishingCurvature
 from .record import Record
 
-_N_CELLS = 2048  # uniform cells of the RMF angle table, one Simpson panel each
+_N_CELLS = 2048  # most uniform cells of the RMF angle table, one Simpson panel each
+_COARSE = 8  # the table is tried first on every 8th of those nodes (256 cells)
+TOL_TABLE = 1e-13  # rad; the most Richardson difference a coarse table may show
 
 
 class RotationMinimizing(Record):
@@ -56,6 +60,14 @@ class AdaptedFrame(Record):
     derivative ``theta_prime`` = d(theta)/dt in the curve parameter."""
 
     __slots__ = ("T", "U", "V", "theta", "theta_prime")
+
+
+class AngleTable(Record):
+    """The RMF angle ``thetas`` at increasing ``nodes``, the ``rates``
+    d(theta)/dt there (NaN if flat) and ``richardson``, the sum over pairs of
+    cells of |S_h - S_2h| (see :func:`theta_rmf`)."""
+
+    __slots__ = ("nodes", "thetas", "rates", "richardson")
 
 
 def _cos_sin(theta):
@@ -121,31 +133,25 @@ def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float) -> floa
     return theta1
 
 
-def theta_rmf(c: CurveDef, theta0: float, grid, *,
-              node_rates: np.ndarray | None = None) -> np.ndarray:
-    """Integrate d(theta)/dt = -|r'| tau over an increasing parameter grid.
+def _richardson(grid, rates, steps) -> float:
+    """Sum over pairs of cells of |S_h - S_2h|: S_h the two cells' own Simpson
+    steps, S_2h one Simpson panel over both with the middle node as midpoint.
+    NaN for an odd number of cells; a NaN or infinite rate makes it NaN or inf."""
+    if len(steps) % 2:
+        return math.nan
+    s_2h = (grid[2::2] - grid[:-2:2]) * (rates[:-2:2] + 4.0 * rates[1:-1:2]
+                                         + rates[2::2]) / 6.0
+    return float(np.sum(np.abs(steps[::2] + steps[1::2] - s_2h)))
 
-    The rate does not depend on theta, so each grid interval is one Simpson
-    panel (rates at its two nodes and its midpoint) and the angle is their
-    cumulative sum; intervals where the curvature vanishes are bridged by
-    double reflection.  The rates come from one :func:`curve.rmf_rate` call on
-    the nodes stacked on the midpoints, which builds no frame.  A node or
-    midpoint without a tangent (a cusp, or a curve undefined there) has no
-    rate either, and the bridge across it, whose sub-samples hold the nodes
-    and midpoints it spans, ends the job with the float call's error there.
-    Returns theta aligned with the grid, kept unwrapped.  ``node_rates``, if
-    given, receives the rates at the nodes (NaN if flat).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must hold at least two parameter values")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    rates, mids = ex._stacked(lambda t: rmf_rate(c, t),
-                              (grid, 0.5 * (grid[:-1] + grid[1:])))
+
+def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
+    """The :class:`AngleTable` on ``grid`` from the rates at its nodes and
+    panel midpoints; with ``tol``, None unless its Richardson difference is
+    at most ``tol``."""
     steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
-    if node_rates is not None:
-        node_rates[:] = rates
+    richardson = _richardson(grid, rates, steps)
+    if tol is not None and not richardson <= tol:
+        return None
     thetas = np.full(len(grid), float(theta0))
     flat = np.append(np.isnan(steps), True)  # sentinel past the last interval
     k = 0
@@ -169,7 +175,52 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *,
                     raise
         thetas[k + 1:j] = np.interp(grid[k + 1:j], grid[[k, j]], thetas[[k, j]])
         k = j
-    return thetas
+    return AngleTable(grid, thetas, rates, richardson)
+
+
+def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
+    """Integrate d(theta)/dt = -|r'| tau over an increasing parameter grid.
+
+    The rate does not depend on theta, so each grid interval is one Simpson
+    panel (rates at its two nodes and its midpoint) and the angle is their
+    cumulative sum; intervals where the curvature vanishes are bridged by
+    double reflection.  The rates come from one :func:`curve.rmf_rate` call on
+    the nodes stacked on the midpoints, which builds no frame.  A node or
+    midpoint without a tangent (a cusp, or a curve undefined there) has no
+    rate either, and the bridge across it, whose sub-samples hold the nodes
+    and midpoints it spans, ends the job with the float call's error there.
+    Returns the :class:`AngleTable`, theta kept unwrapped.
+
+    With ``tol``, the table is sized by its own error: ``grid`` must hold
+    8k + 1 nodes, and the angle is first integrated on every 8th of them,
+    whose panel midpoints are the nodes halfway between.  That table of k
+    cells is returned if its Richardson difference is at most ``tol`` (a NaN or
+    infinite rate fails).  Otherwise, or if its rate call raises, the table
+    on the whole grid is returned as without ``tol``, bit for bit; only its
+    nodes that the first try did not hold are evaluated.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError("grid must hold at least two parameter values")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    rates, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
+    if tol is not None:
+        if (len(grid) - 1) % _COARSE:
+            raise ValueError(f"grid must hold a multiple of {_COARSE} cells")
+        half = _COARSE // 2
+        try:
+            known = rmf_rate(c, grid[::half])
+        except Exception:  # the whole grid raises it again, or its own first error
+            pass
+        else:
+            table = _table(c, theta0, grid[::_COARSE], known[::2], known[1::2], tol)
+            if table is not None:
+                return table
+            rates[::half], fresh[::half] = known, False
+    rates[fresh], mids = ex._stacked(lambda t: rmf_rate(c, t),
+                                     (grid[fresh], 0.5 * (grid[:-1] + grid[1:])))
+    return _table(c, theta0, grid, rates, mids)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +277,26 @@ class FrameField:
     Simpson panel per cell (:func:`theta_rmf`), and queried by one more panel
     from the nearest node below, which keeps theta(t) smooth within machine
     accuracy (the starting node value is shared by both sides of every node).
-    A grid of queries and the midpoints of its panels take one Frenet call
-    together (:meth:`frame_at`).
+    The table takes 256 cells if every rate on them is finite and their
+    Richardson difference is at most ``TOL_TABLE``, and 2048 otherwise;
+    ``cells`` and ``richardson`` keep the count and the difference of the
+    table taken.  A grid of queries and the midpoints of its panels take one
+    Frenet call together (:meth:`frame_at`).
     """
 
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
         self.curve = c
         self.policy = policy
         if isinstance(policy, RotationMinimizing):
-            self._nodes = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
-            if not np.all(np.diff(self._nodes) > 0):
+            nodes = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
+            if not np.all(np.diff(nodes) > 0):
                 raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
                                     f"for {_N_CELLS} angle-table cells")
-            self._rates = np.empty(_N_CELLS + 1)
-            self._thetas = theta_rmf(c, policy.theta0, self._nodes,
-                                     node_rates=self._rates)
-            self._h = (c.t_max - c.t_min) / _N_CELLS
+            table = theta_rmf(c, policy.theta0, nodes, tol=TOL_TABLE)
+            self._nodes, self._thetas, self._rates = table.nodes, table.thetas, table.rates
+            self.cells = len(self._nodes) - 1
+            self.richardson = table.richardson
+            self._h = (c.t_max - c.t_min) / self.cells
 
     @property
     def is_rmf(self) -> bool:

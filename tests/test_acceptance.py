@@ -40,7 +40,7 @@ def test_criterion_01_helix_apparatus(helix):
 
 def test_criterion_02_rmf_angle_exactness(helix_2pi):
     grid = np.linspace(0, TWO_PI, 257)
-    th = theta_rmf(helix_2pi, 0.25, grid)
+    th = theta_rmf(helix_2pi, 0.25, grid).thetas
     err = float(np.max(np.abs(th - (0.25 - 0.8 * grid))))
     _report("2a rmf angle matches -0.8 s + theta0 at 256 intervals", err, 1e-8)
     # 4th-order step check needs a nonconstant integrand: same helix under a
@@ -50,7 +50,7 @@ def test_criterion_02_rmf_angle_exactness(helix_2pi):
     errs = []
     for n in (64, 128):
         g = np.linspace(0, TWO_PI, n + 1)
-        t = theta_rmf(c, 0.0, g)
+        t = theta_rmf(c, 0.0, g).thetas
         errs.append(float(np.max(np.abs(t - (-0.8 * (g + 0.3 * np.sin(g)))))))
     ratio = errs[0] / errs[1]
     _report("2b halving the step shrinks the angle error >= 12x", ratio, 12.0,

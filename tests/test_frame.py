@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rmfruled.curve import CurveDef, frenet, tangent_data
+from rmfruled import frame
+from rmfruled.curve import CurveDef, frenet, rmf_rate, tangent_data
 from rmfruled.expr import ExprDomainError
-from rmfruled.frame import (ExplicitTheta, FrameField, RotationMinimizing,
-                            adapted_frame, double_reflection,
+from rmfruled.frame import (TOL_TABLE, ExplicitTheta, FrameField,
+                            RotationMinimizing, adapted_frame, double_reflection,
                             frame_derivatives, theta_rmf)
 
 TWO_PI = 2 * math.pi
@@ -22,14 +23,14 @@ def _angle(a, b):
 
 def test_theta_rmf_helix_linear(helix_2pi):
     grid = np.linspace(0, TWO_PI, 257)
-    th = theta_rmf(helix_2pi, 0.0, grid)
+    th = theta_rmf(helix_2pi, 0.0, grid).thetas
     assert np.max(np.abs(th - (-0.8 * grid))) < 1e-12
 
 
 def test_theta_rmf_planar_constant():
     circle = CurveDef.from_strings("cos(s)", "sin(s)", "0", 0, TWO_PI)
     grid = np.linspace(0, TWO_PI, 65)
-    th = theta_rmf(circle, 1.25, grid)
+    th = theta_rmf(circle, 1.25, grid).thetas
     assert np.max(np.abs(th - 1.25)) < 1e-14
 
 
@@ -41,7 +42,7 @@ def test_theta_rmf_fourth_order_convergence():
     errs = []
     for n in (64, 128):
         grid = np.linspace(0, TWO_PI, n + 1)
-        th = theta_rmf(c, 0.0, grid)
+        th = theta_rmf(c, 0.0, grid).thetas
         exact = -0.8 * (grid + 0.3 * np.sin(grid))
         errs.append(np.max(np.abs(th - exact)))
     assert errs[0] / errs[1] > 12.0
@@ -74,6 +75,118 @@ def test_angle_table_ends_where_the_curve_fails_between_nodes():
     c = CurveDef.from_strings("s", "s^2", "s^3+1/(s+0.49951171875)", -1, 1)
     with pytest.raises(ExprDomainError, match=r"in 's\+0.49951171875'$"):
         FrameField(c, RotationMinimizing(0.0))
+
+
+# ---------------------------------------------------------------------------
+# angle-table size
+
+# Helices a cos(w s), a sin(w s), b w s, whose angle is theta0 + rate (s - s0)
+# with rate -w b / sqrt(a^2 + b^2): two bundled configs and two rmfbench-style
+# draws, with the largest errors against that closed form of a 2048-cell
+# table, at the nodes and at 40 off-node queries.
+CLOSED_FORM_CURVES = {
+    "proportional_normal_coeffs": (0.6, 1.0, 0.8, 0.5, 5.0, 5.2e-14, 5.2e-14),
+    "tangent_ruling": (0.6, 1.0, 0.8, 0.0, TWO_PI, 3.6e-14, 3.5e-14),
+    "helix": (1.3, 0.7, 0.6, -1.7, 1.9, 7.4e-15, 7.3e-15),
+    "circle": (0.9, 1.2, 0.0, -0.8, 2.6, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CURVES))
+def test_angle_table_takes_256_cells_where_they_suffice(name):
+    a, w, b, lo, hi, at_nodes, off_nodes = CLOSED_FORM_CURVES[name]
+    c = CurveDef.from_strings(f"{a}*cos({w}*s)", f"{a}*sin({w}*s)", f"{b * w}*s", lo, hi)
+    field = FrameField(c, RotationMinimizing(0.7))
+    assert field.cells == 256 and len(field._nodes) == len(field._rates) == 257
+    assert field.richardson <= TOL_TABLE
+    exact = lambda t: 0.7 - w * b / math.hypot(a, b) * (t - lo)  # noqa: E731
+    assert np.max(np.abs(field._thetas - exact(field._nodes))) <= at_nodes
+    queries = np.linspace(lo + 0.01, hi - 0.01, 40)
+    assert not set(queries.tolist()) & set(field._nodes.tolist())
+    _, af = field.frame_at(queries)
+    assert np.max(np.abs(af.theta - exact(queries))) <= off_nodes
+
+
+TURNED_DOWN = {
+    "twisted_cubic": ("s", "s^2", "s^3"),
+    "flat_node": ("s", "s^3", "s^4"),
+    "cusp": ("s^3", "s^2", "s^4"),
+    "pole_between_nodes": ("s", "s^2", "s^3+1/(s+0.49951171875)"),
+}
+
+
+def _table_bytes(make):
+    """The bytes of the (nodes, thetas, rates) that ``make`` builds, or the
+    class and text of its error."""
+    try:
+        table = make()
+    except Exception as err:  # compared as they are, whatever they are
+        return type(err).__name__, str(err)
+    return tuple(x.tobytes() for x in table)
+
+
+@pytest.mark.parametrize("name", sorted(TURNED_DOWN))
+def test_turned_down_table_is_the_2048_cell_table_bit_for_bit(name):
+    c = CurveDef.from_strings(*TURNED_DOWN[name], -1, 1)
+
+    def sized():
+        field = FrameField(c, RotationMinimizing(0.3))
+        assert field.cells == 2048
+        return field._nodes, field._thetas, field._rates
+
+    def cap():
+        table = theta_rmf(c, 0.3, np.linspace(-1.0, 1.0, 2049))
+        return table.nodes, table.thetas, table.rates
+    assert _table_bytes(sized) == _table_bytes(cap)
+
+
+def test_turned_down_table_evaluates_each_rate_once(monkeypatch):
+    # The 2048-cell pass reuses the 513 rates of the 256-cell try: 2049 nodes
+    # and 2048 midpoints in all, as without the try.
+    counts = []
+
+    def counted(c, t):
+        counts.append(np.size(t))
+        return rmf_rate(c, t)
+    monkeypatch.setattr(frame, "rmf_rate", counted)
+    field = FrameField(CurveDef.from_strings("s", "s^2", "s^3", -1, 1),
+                       RotationMinimizing(0.0))
+    assert field.cells == 2048 and counts == [513, 3584]
+
+
+def test_sized_table_needs_a_multiple_of_8_cells(helix_2pi):
+    with pytest.raises(ValueError, match="multiple of 8 cells"):
+        theta_rmf(helix_2pi, 0.0, np.linspace(0.0, 1.0, 13), tol=TOL_TABLE)
+
+
+def _reference(c: CurveDef, n: int = 2 ** 16) -> np.ndarray:
+    """theta - theta0 at every 256th node of an n-cell Simpson table, each
+    cell's steps summed by ``math.fsum``, so that rounding stays far below
+    the truncation error of 256 cells."""
+    g = np.linspace(c.t_min, c.t_max, n + 1)
+    r, m = rmf_rate(c, g), rmf_rate(c, 0.5 * (g[:-1] + g[1:]))
+    steps = (np.diff(g) * (r[:-1] + 4.0 * m + r[1:]) / 6.0).reshape(256, -1)
+    cells = [math.fsum(row) for row in steps.tolist()]
+    return np.array([math.fsum(cells[:k]) for k in range(257)])
+
+
+@pytest.mark.parametrize("xyz, lo, hi", [
+    (("cos(s)", "sin(s)", "exp(s)"), 0.0, 1.0),
+    (("cos(s)", "sin(s)", "exp(s)"), 0.5, 2.0),
+    (("cos(s)", "sin(s)", "0.5*s+0.1*s^2"), 0.0, 1.0),
+    (("cos(s)", "sin(s)", "0.5*s+0.1*s^2"), 0.5, 2.0),
+    (("cos(s)", "sin(s)", "s+0.05*sin(s)"), 0.0, 1.0),
+])
+def test_richardson_sum_bounds_the_256_cell_error(xyz, lo, hi):
+    # With no tolerance to fail, theta_rmf keeps the 256-cell table.  The
+    # Richardson sum, without the usual 1/15, is at least its error against a
+    # 2^16-cell table; FrameField takes it exactly where the sum is small.
+    c = CurveDef.from_strings(*xyz, lo, hi)
+    table = theta_rmf(c, 0.0, np.linspace(lo, hi, 2049), tol=math.inf)
+    assert len(table.nodes) == 257
+    assert np.max(np.abs(table.thetas - _reference(c))) <= table.richardson
+    field = FrameField(c, RotationMinimizing(0.0))
+    assert field.cells == (256 if table.richardson <= TOL_TABLE else 2048)
 
 
 # ---------------------------------------------------------------------------
