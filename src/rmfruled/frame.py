@@ -12,8 +12,9 @@ both as a standalone operation and as the fallback for integrating theta
 across curvature-free points, where tau is undefined but the RMF is not.
 The RMF angle is tabulated once per curve, on 256 uniform cells where their
 own Richardson check (Simpson on h against 2h) shows an error of at most
-``TOL_TABLE``, and on 2048 cells otherwise.  Frames, angles and frame derivatives take a float or a 1-D grid, as
-:func:`curve.frenet` does, each grid element equal to the float evaluation.
+``TOL_TABLE``, and on 2048 cells otherwise.  Frames, angles and frame
+derivatives take a float or a 1-D grid, as :func:`curve.frenet` does, each
+grid element equal to the float evaluation.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
 from .errors import GeometryError, VanishingCurvature
 from .record import Record
 
-_N_CELLS = 2048  # most uniform cells of the RMF angle table, one Simpson panel each
+_N_CELLS = 2048  # uniform cells of the RMF angle table at most, one Simpson panel each
 _COARSE = 8  # the table is tried first on every 8th of those nodes (256 cells)
-TOL_TABLE = 1e-13  # rad; the most Richardson difference a coarse table may show
+TOL_TABLE = 1e-13  # rad; the largest Richardson difference that table may show
 
 
 class RotationMinimizing(Record):
@@ -211,8 +212,8 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
         half = _COARSE // 2
         try:
             known = rmf_rate(c, grid[::half])
-        except Exception:  # the whole grid raises it again, or its own first error
-            pass
+        except (ArithmeticError, GeometryError, ex.ExprError):
+            pass  # the whole grid raises it again, or its own first error
         else:
             table = _table(c, theta0, grid[::_COARSE], known[::2], known[1::2], tol)
             if table is not None:
@@ -293,7 +294,8 @@ class FrameField:
                 raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
                                     f"for {_N_CELLS} angle-table cells")
             table = theta_rmf(c, policy.theta0, nodes, tol=TOL_TABLE)
-            self._nodes, self._thetas, self._rates = table.nodes, table.thetas, table.rates
+            self._nodes, self._thetas = table.nodes, table.thetas
+            self._rates = table.rates
             self.cells = len(self._nodes) - 1
             self.richardson = table.richardson
             self._h = (c.t_max - c.t_min) / self.cells

@@ -367,7 +367,8 @@ def test_classify_lists_K_samples_whose_float_call_raises():
     with np.errstate(all="ignore"):
         rep = classify(surf, n_s=13, n_v=5)
     s_vals = np.linspace(0.5, 5.0, 13).tolist()
-    assert [list(x) for x in rep.skipped_samples] == [[s, "SingularPoint"] for s in s_vals]
+    assert [list(x) for x in rep.skipped_samples] == [[s, "SingularPoint"]
+                                                      for s in s_vals]
     assert rep.max_interior_abs_K == 0.0
     assert "no interior K sample was usable; the K cross-check is void" in rep.notes
 
