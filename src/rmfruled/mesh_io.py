@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curve import EPS_REG, vec_cross, vec_dot, vec_norm
+from .curve import vec_cross, vec_dot, vec_norm
 from .invariants import COLUMNS as CSV_COLUMNS, BaseCurveReport
 from .record import Record, fields
 from .ruled import ClassificationReport, RuledSurface, _director_scale
@@ -55,10 +55,9 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     ex._float_path(lambda s: surface.point(s, v_vals), s_vals, verts, (), "point")
     _director_scale(surface._row(s_vals)[0])
     verts = verts.reshape(-1, 3)
-    norms = surface.normal(s_vals, v_vals)
+    norms, degenerate = surface._normal(s_vals, v_vals)
     if np.isnan(norms).any():  # the float call decides where no partials degenerate
-        nn = vec_norm(vec_cross(*surface.partials(s_vals, v_vals)))
-        for v, bad in zip(v_vals.tolist(), np.isnan(norms[..., 0]) & ~(nn <= EPS_REG)):
+        for v, bad in zip(v_vals.tolist(), np.isnan(norms[..., 0]) & ~degenerate):
             ex._float_path(lambda s: surface.normal(s, v), s_vals,
                            np.where(bad, np.nan, 0.0), (), "normal")
     norms = norms.swapaxes(0, 1).reshape(-1, 3)

@@ -263,17 +263,23 @@ class RuledSurface:
     def normal(self, s, v) -> np.ndarray:
         """Unit surface normal, oriented as d_s x d_v and shaped as ``point``;
         floats s and v raise where the partials degenerate or overflow, else NaN."""
+        return self._normal(s, v)[0]
+
+    def _normal(self, s, v):
+        """(``normal(s, v)``, whether the partials degenerate there): on a grid,
+        a mask that is False where |d_s x d_v| overflows or is NaN."""
         d_s, d_v = self.partials(s, v)
         n = vec_cross(d_s, d_v)
         nn = _overflows(vec_norm(n), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
+        degenerate = nn <= EPS_REG
         if isinstance(nn, np.ndarray):
-            return n / np.where(nn <= EPS_REG, np.nan, nn)[..., None]
-        if nn <= EPS_REG:
+            return n / np.where(degenerate, np.nan, nn)[..., None], degenerate
+        if degenerate:
             (_, j2, j3), _, _ = self._row(s)
             if v == 0.0 and j2.value ** 2 + j3.value ** 2 <= EPS_REG ** 2:
                 raise TangentRuling(f"x2=x3=0 at s={s}: no normal on the base curve")
             raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
-        return n / nn
+        return n / nn, False
 
     def base_normal(self, s) -> np.ndarray:
         """``normal(s, 0.0)``, the unit normal along the base curve; cached per
@@ -313,21 +319,21 @@ class RuledSurface:
 # classification
 
 
-def _special_case_tag(vanish):
-    z1, z2, z3 = vanish
-    if z2 and z3:
-        return "X=T"
-    if z1 and z3:
-        return "X=U"
-    if z1 and z2:
-        return "X=V"
-    if z3:
-        return "span{T,U}"
-    if z2:
-        return "span{T,V}"
-    if z1:
-        return "span{U,V}"
-    return "general"
+# Which of x1, x2, x3 vanish on the grid -> the special case and the spans of
+# two frame vectors holding X, each named by the form det(T, X, X') takes on
+# it; all three vanishing raises ZeroDirector in det_verdict.
+_ON_TU = "kappa*x1*x2*sin(theta) - phi*x2^2"
+_ON_TV = "kappa*x1*x3*cos(theta) - phi*x3^2"
+_ON_UV = "x2*x3' - x3*x2' + phi*(x2^2 + x3^2)"
+_SPECIAL_CASES = {
+    (False, False, False): ("general", ()),
+    (False, False, True): ("span{T,U}", (_ON_TU,)),
+    (False, True, False): ("span{T,V}", (_ON_TV,)),
+    (True, False, False): ("span{U,V}", (_ON_UV,)),
+    (False, True, True): ("X=T", (_ON_TU, _ON_TV)),
+    (True, False, True): ("X=U", (_ON_TU, _ON_UV)),
+    (True, True, False): ("X=V", (_ON_TV, _ON_UV)),
+}
 
 
 def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_DEV):
@@ -352,36 +358,25 @@ def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_
 
 def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
              tol_dev: float = TOL_DEV, tol_K: float = TOL_K) -> ClassificationReport:
-    """Developability verdict (:func:`det_verdict`), span detection, and
-    per-case condition residuals; the verdict is cross-checked against max
-    |K| at interior v."""
+    """Developability verdict (:func:`det_verdict`), special case, and one
+    corollary residual per span of two frame vectors holding X: max
+    |x2 X'_V - x3 X'_U| (:meth:`RuledSurface.det_numerator_closed`) over the
+    usable samples, keyed by the form it takes on that span.  The verdict is
+    cross-checked against max |K| at interior v."""
     sdef = surface.sdef
     s_vals = np.linspace(sdef.curve.t_min, sdef.curve.t_max, n_s)
     verdict, max_det, ok, skipped, max_abs = det_verdict(surface, s_vals, tol_dev)
 
-    tag = _special_case_tag([m <= EPS_REG for m in max_abs])
-
-    jets, _, _ = surface._row(s_vals)
-    fd, af = surface.frame(s_vals)
-    k, sp, phi = fd.kappa[ok], fd.speed[ok], frame_angular_velocity(fd, af)[ok]
-    c, sn = _cos_sin(af.theta[ok])
-    (x1, x2, x3), (d2, d3) = ([j.value[ok] for j in jets],
-                              [j.d1[ok] for j in jets[1:]])
-    # Each residual is |det(T, X, X')| on its span; phi*x*x is 0 where phi is.
-    conditions = {}
-    notes = []
-
-    def worst(name, residual):
-        conditions[f"max |{name}|"] = _max_abs(ex._finite(name, s_vals[ok], residual))
-    if tag in ("span{T,U}", "X=T", "X=U"):
-        worst("kappa*x1*x2*sin(theta) - phi*x2^2", k * x1 * x2 * sn - phi * x2 * x2)
-        if max_abs[1] <= EPS_REG or max_abs[0] <= EPS_REG and _max_abs(phi) <= EPS_REG:
-            notes.append("x1*x2 vanishes on the grid; condition holds trivially")
-    if tag in ("span{T,V}", "X=T", "X=V"):
-        worst("kappa*x1*x3*cos(theta) - phi*x3^2", k * x1 * x3 * c - phi * x3 * x3)
-    if tag in ("span{U,V}", "X=U", "X=V"):
-        worst("x2*x3' - x3*x2' + phi*(x2^2 + x3^2)",
-              x2 * d3 / sp - x3 * d2 / sp + (phi * x2 * x2 + phi * x3 * x3))
+    vanish = tuple((max_abs <= EPS_REG).tolist())
+    tag, spans = _SPECIAL_CASES[vanish]
+    conditions, notes = {}, []
+    if spans:
+        worst = _max_abs(ex._finite(spans[0], s_vals[ok],
+                                    surface.det_numerator_closed(s_vals)[ok]))
+        conditions = {f"max |{span}|": worst for span in spans}
+    if _ON_TU in spans and (vanish[1] or vanish[0] and _max_abs(
+            frame_angular_velocity(*surface.frame(s_vals))[ok]) <= EPS_REG):
+        notes.append("x1*x2 vanishes on the grid; condition holds trivially")
 
     # Gaussian-curvature cross-check on a coarse interior grid.
     v_vals = np.linspace(sdef.v_min, sdef.v_max, n_v)

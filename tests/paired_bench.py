@@ -5,7 +5,9 @@ One ``rmfbench/worker.py`` process runs per checkout, each importing its own
 turn, the side that goes first alternating from job to job, so that a change
 in the machine's speed falls on both sides of a pair alike.  The two outputs
 must be byte-identical, with the same exit code.  Prints each side's median
-job time and the share of jobs that ran faster on the new side:
+job time between its first and third quartiles, whether the gap between the
+medians exceeds the old side's interquartile range, and the share of jobs that
+ran faster on the new side:
 
     python tests/paired_bench.py --old /path/to/parent --workload verify_rmf \\
         --seed 1 --rounds 60 [--in-process]
@@ -145,13 +147,16 @@ def main(argv=None) -> int:
         for w in workers.values():
             w.close()
 
-    print(json.dumps({
-        "workload": args.workload, "seed": args.seed, "jobs": k,
-        "old_job_s_p50": statistics.median(times["old"]),
-        "new_job_s_p50": statistics.median(times["new"]),
-        "new_faster_share": faster / k,
-        "outputs_differ": mismatched,
-    }))
+    summary = {"workload": args.workload, "seed": args.seed, "jobs": k}
+    for side in times:
+        q1, p50, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+        summary.update({f"{side}_job_s_q1": q1, f"{side}_job_s_p50": p50,
+                        f"{side}_job_s_q3": q3})
+    summary["p50_gap_exceeds_old_iqr"] = (
+        abs(summary["new_job_s_p50"] - summary["old_job_s_p50"])
+        > summary["old_job_s_q3"] - summary["old_job_s_q1"])
+    summary.update(new_faster_share=faster / k, outputs_differ=mismatched)
+    print(json.dumps(summary))
     return 1 if mismatched else 0
 
 

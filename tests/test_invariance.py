@@ -1,0 +1,116 @@
+"""Relations that keep the surface: a rigid motion of the base curve, and an
+affine reparametrization s = a u + b with a > 0.
+
+Both are written into a bundled config's DSL strings, and ``classify`` and
+``verify`` run through ``cli.main`` on the config and on its image.  Neither
+relation may move ``classify``'s verdict, special case, corollary keys and
+base-curve flags, or ``verify``'s pass and its failing checks; kappa, k_g,
+k_n, tau_g and P agree row by row within 1e-10.  The draws are seeded
+(derandomized) and few, to keep the suite fast.  Under the RMF, theta0 is the
+angle at the start of the range, which a > 0 maps to the start: it is kept.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CONFIGS
+from rmfruled.cli import main
+
+NAMES = ("proportional_normal_coeffs", "example1", "example2", "planar_cos_zero")
+FLAGS = ("is_geodesic", "is_asymptotic", "is_curvature_line_frame",
+         "is_curvature_line_rodrigues")
+COLUMNS = ("kappa", "k_g", "k_n", "tau_g", "P")
+TOL = 1e-10
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_SHIFT = st.floats(-10.0, 10.0)
+
+
+def _run(doc: dict) -> tuple:
+    """(classify JSON, verify JSON) of the config ``doc``."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        for cmd, extra in (("classify", ["--format", "json"]), ("verify", [])):
+            path = Path(tmp) / f"{cmd}.json"
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([cmd, "--config", str(cfg), "--out", str(path), *extra])
+            assert code in (0, 1), err.getvalue()
+            out.append(json.loads(path.read_text()))
+    return tuple(out)
+
+
+@functools.cache
+def _original(name: str) -> tuple:
+    return _run(json.loads((CONFIGS / f"{name}.json").read_text()))
+
+
+def _column(report: dict, name: str) -> np.ndarray:
+    return np.array([math.nan if row[name] is None else row[name]
+                     for row in report["base_curve"]["samples"]])
+
+
+def _assert_same_surface(name: str, doc: dict):
+    (c0, v0), (c1, v1) = _original(name), _run(doc)
+    assert (c1["verdict"], c1["special_case"]) == (c0["verdict"], c0["special_case"])
+    assert list(c1["corollary_conditions"]) == list(c0["corollary_conditions"])
+    assert ([c1["base_curve"][f] for f in FLAGS]
+            == [c0["base_curve"][f] for f in FLAGS])
+    for col in COLUMNS:
+        np.testing.assert_allclose(_column(c1, col), _column(c0, col), rtol=0, atol=TOL,
+                                   err_msg=col)
+    failing = [[c["check"] for c in v["checks"] if not c["pass"]] for v in (v0, v1)]
+    assert (v1["pass"], failing[1]) == (v0["pass"], failing[0])
+
+
+def _rotation(a: float, b: float, c: float) -> np.ndarray:
+    """Rz(a) Ry(b) Rx(c)."""
+    ca, sa, cb, sb, cc, sc = (f(t) for t in (a, b, c) for f in (math.cos, math.sin))
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
+    return rz @ ry @ rx
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(st.tuples(_ANGLE, _ANGLE, _ANGLE), st.tuples(_SHIFT, _SHIFT, _SHIFT))
+def test_rigid_motion_keeps_the_surface(name, angles, shift):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    curve = doc["curve"]
+    xyz = [curve[k] for k in "xyz"]
+    for k, row, t in zip("xyz", _rotation(*angles).tolist(), shift):
+        curve[k] = " + ".join(f"({r!r})*({e})" for r, e in zip(row, xyz)) + f" + ({t!r})"
+    _assert_same_surface(name, doc)
+
+
+def _substitute(text: str, a: float, b: float) -> str:
+    return re.sub(r"\bs\b", f"(({a!r})*s + ({b!r}))", text)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(st.floats(0.5, 2.0), st.floats(-3.0, 3.0))
+def test_affine_reparametrization_keeps_the_surface(name, a, b):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    curve, director, theta = doc["curve"], doc["director"], doc["theta"]
+    for part, keys in ((curve, "xyz"), (director, ("x1", "x2", "x3"))):
+        for k in keys:
+            part[k] = _substitute(part[k], a, b)
+    if theta["mode"] == "explicit":
+        theta["expr"] = _substitute(theta["expr"], a, b)
+    curve["s_range"] = [(t - b) / a for t in curve["s_range"]]
+    _assert_same_surface(name, doc)
+

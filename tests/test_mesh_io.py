@@ -260,6 +260,18 @@ def test_tangent_ruling_mesh_is_flat_shaded_obj():
     assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 8 * 4 * 2
 
 
+def test_missing_normals_take_one_partials_pass(monkeypatch):
+    # example1's director vanishes at s = 0, so its v = 0 normal is missing:
+    # the normal pass itself tells the degenerate rows from overflowing ones
+    job = load_config(str(CONFIGS / "example1.json"))
+    surface = RuledSurface(job.surface)
+    calls = []
+    real = surface.partials
+    monkeypatch.setattr(surface, "partials", lambda s, v: calls.append(s) or real(s, v))
+    mesh = tessellate(surface, job.n_s, job.n_v)
+    assert mesh.flat_shaded and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # reports
 

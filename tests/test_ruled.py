@@ -8,7 +8,7 @@ from rmfruled.curve import CurveDef
 from rmfruled.errors import SingularPoint, TangentRuling, ZeroDirector
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.record import fields
-from rmfruled.ruled import SurfaceSample, _max_abs, classify
+from rmfruled.ruled import SurfaceSample, _max_abs, classify, det_verdict
 
 
 def test_director_tangent_case(helix):
@@ -320,6 +320,42 @@ def test_classify_residuals_carry_the_frame_rotation(helix):
     for residual in rep.corollary_conditions.values():
         assert residual == pytest.approx(rep.max_abs_det, rel=1e-12)
     assert not any("holds trivially" in note for note in rep.notes)
+
+
+CUBIC = CurveDef.from_strings("s", "s^2", "s^3/3", -1.0, 1.0)
+
+# (x1, x2, x3) -> the special case, one per vanishing pattern; sin(s), s, 0
+# under the RMF from theta0 = 1.8 is a config whose corollary value the
+# hand-expanded residual gave 2 ulps away from the closed numerator.
+SPECIAL_CASES = [
+    (("1", "s", "cos(s)"), "general"),
+    (("sin(s)", "s", "0"), "span{T,U}"),
+    (("1", "0", "s"), "span{T,V}"),
+    (("0", "s", "cos(s)"), "span{U,V}"),
+    (("1+s^2", "0", "0"), "X=T"),
+    (("0", "cos(s)", "0"), "X=U"),
+    (("0", "0", "exp(s)"), "X=V"),
+]
+
+
+@pytest.mark.parametrize("policy", [RotationMinimizing(1.8),
+                                    ExplicitTheta.from_string("atan(s)")],
+                         ids=["rmf", "explicit"])
+@pytest.mark.parametrize("coeffs, case", SPECIAL_CASES, ids=[c for _, c in SPECIAL_CASES])
+def test_classify_corollaries_are_the_closed_det_numerator(policy, coeffs, case):
+    surf = make_surface(CUBIC, policy, *coeffs)
+    rep = classify(surf, n_s=101, n_v=2)
+    assert rep.special_case == case
+    s_vals = np.linspace(-1.0, 1.0, 101)
+    ok = det_verdict(surf, s_vals)[2]
+    worst = _max_abs(surf.det_numerator_closed(s_vals)[ok])
+    assert len(rep.corollary_conditions) == {"general": 0, "X=T": 2, "X=U": 2,
+                                             "X=V": 2}.get(case, 1)
+    for value in rep.corollary_conditions.values():
+        assert value == worst  # bit for bit
+    # x1 x2 = 0 on the grid where x2 vanishes, or x1 does and the RMF gives phi = 0
+    trivial = case == "X=T" or case == "X=U" and isinstance(policy, RotationMinimizing)
+    assert ("x1*x2 vanishes on the grid; condition holds trivially" in rep.notes) == trivial
 
 
 def test_classify_scaling_invariance(helix):
