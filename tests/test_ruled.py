@@ -324,33 +324,35 @@ def test_classify_residuals_carry_the_frame_rotation(helix):
 
 CUBIC = CurveDef.from_strings("s", "s^2", "s^3/3", -1.0, 1.0)
 
-# (x1, x2, x3) -> the special case, one per vanishing pattern; sin(s), s, 0
-# under the RMF from theta0 = 1.8 is a config whose corollary value the
-# hand-expanded residual gave 2 ulps away from the closed numerator.
+# (x1, x2, x3) -> the special case and its number of corollaries, one row per
+# vanishing pattern; sin(s), s, 0 under the RMF from theta0 = 1.8 is a config
+# whose corollary value the hand-expanded residual gave 1 ulp away from the
+# closed numerator.
 SPECIAL_CASES = [
-    (("1", "s", "cos(s)"), "general"),
-    (("sin(s)", "s", "0"), "span{T,U}"),
-    (("1", "0", "s"), "span{T,V}"),
-    (("0", "s", "cos(s)"), "span{U,V}"),
-    (("1+s^2", "0", "0"), "X=T"),
-    (("0", "cos(s)", "0"), "X=U"),
-    (("0", "0", "exp(s)"), "X=V"),
+    (("1", "s", "cos(s)"), "general", 0),
+    (("sin(s)", "s", "0"), "span{T,U}", 1),
+    (("1", "0", "s"), "span{T,V}", 1),
+    (("0", "s", "cos(s)"), "span{U,V}", 1),
+    (("1+s^2", "0", "0"), "X=T", 2),
+    (("0", "cos(s)", "0"), "X=U", 2),
+    (("0", "0", "exp(s)"), "X=V", 2),
 ]
 
 
 @pytest.mark.parametrize("policy", [RotationMinimizing(1.8),
                                     ExplicitTheta.from_string("atan(s)")],
                          ids=["rmf", "explicit"])
-@pytest.mark.parametrize("coeffs, case", SPECIAL_CASES, ids=[c for _, c in SPECIAL_CASES])
-def test_classify_corollaries_are_the_closed_det_numerator(policy, coeffs, case):
+@pytest.mark.parametrize("coeffs, case, n_corollaries", SPECIAL_CASES,
+                         ids=[row[1] for row in SPECIAL_CASES])
+def test_classify_corollaries_are_the_closed_det_numerator(policy, coeffs, case,
+                                                           n_corollaries):
     surf = make_surface(CUBIC, policy, *coeffs)
     rep = classify(surf, n_s=101, n_v=2)
     assert rep.special_case == case
     s_vals = np.linspace(-1.0, 1.0, 101)
     ok = det_verdict(surf, s_vals)[2]
     worst = _max_abs(surf.det_numerator_closed(s_vals)[ok])
-    assert len(rep.corollary_conditions) == {"general": 0, "X=T": 2, "X=U": 2,
-                                             "X=V": 2}.get(case, 1)
+    assert len(rep.corollary_conditions) == n_corollaries
     for value in rep.corollary_conditions.values():
         assert value == worst  # bit for bit
     # x1 x2 = 0 on the grid where x2 vanishes, or x1 does and the RMF gives phi = 0
