@@ -141,8 +141,8 @@ def vec_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _per_sample(x):
-    """A float, or a 1-D array shaped to scale one 3-vector row per element."""
-    return x[:, None] if isinstance(x, np.ndarray) else x
+    """A float, or an array shaped to scale one 3-vector row per element."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 def _guard(value, bad, error):

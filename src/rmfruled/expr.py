@@ -89,14 +89,6 @@ class Jet3(Record):
         _set(self, "d2", d2)
         _set(self, "d3", d3)
 
-    @staticmethod
-    def constant(v: float) -> "Jet3":
-        return Jet3(float(v))
-
-    @staticmethod
-    def variable(v: float) -> "Jet3":
-        return Jet3(float(v), 1.0)
-
     def __add__(self, other):
         o = _as_jet(other)
         return Jet3(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
@@ -125,7 +117,7 @@ class Jet3(Record):
 def _as_jet(x) -> Jet3:
     if isinstance(x, Jet3):
         return x
-    return Jet3.constant(x)
+    return Jet3(float(x))
 
 
 def compose(g: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
@@ -541,7 +533,7 @@ def eval_jet(e: "Expr | str", s) -> Jet3:
     if isinstance(s, np.ndarray):
         return _eval_grid(e, s.astype(float))
     try:
-        return _eval(e, Jet3.variable(s))
+        return _eval(e, Jet3(float(s), 1.0))
     except (ArithmeticError, ValueError) as err:  # math range and domain errors
         raise ExprDomainError(f"{err} at s={s}") from err
 
@@ -565,9 +557,9 @@ def _eval_grid(e: Expr, grid: np.ndarray) -> Jet3:
 def _eval(e: Expr, sj: Jet3) -> Jet3:
     match e:
         case Num(v):
-            return Jet3.constant(v)
+            return Jet3(float(v))
         case Pi():
-            return Jet3.constant(math.pi)
+            return Jet3(math.pi)
         case Var():
             return sj
         case Neg(operand):

@@ -148,7 +148,6 @@ class RuledSurface:
         self._frame_at = _Keyed(self.field.frame_at)
         self._row = _Keyed(self._director_row)
         self._det = _Keyed(self._ruling_det)
-        self._closed = _Keyed(self._director_derivative_closed)
         self._normal0 = _Keyed(self._base_normal)
 
     def stack(self, *grids):
@@ -188,10 +187,7 @@ class RuledSurface:
         """Frame components of X' per arc length, and the world vector X', for
         any adapted frame: X'_T = x1' - kappa (x2 cos(theta) - x3 sin(theta)),
         X'_U = kappa x1 cos(theta) + x2' - phi x3, X'_V = -kappa x1 sin(theta)
-        + x3' + phi x2.  Cached per float or grid, and read-only."""
-        return self._closed(s)
-
-    def _director_derivative_closed(self, s):
+        + x3' + phi x2."""
         fd, af = self.frame(s)
         (j1, j2, j3), _, _ = self._row(s)
         x1, x2, x3 = j1.value, j2.value, j3.value
@@ -206,9 +202,7 @@ class RuledSurface:
             p3 - k * x1 * sn + phi * x2,
         ], axis=-1)
         c1, c2, c3 = (comps[..., i:i + 1] for i in range(3))
-        world = c1 * fd.T + c2 * af.U + c3 * af.V
-        comps.flags.writeable = world.flags.writeable = False
-        return comps, world
+        return comps, c1 * fd.T + c2 * af.U + c3 * af.V
 
     def director_derivative_numeric(self, s) -> np.ndarray:
         """World-space X' per arc length, valid for any theta policy."""
@@ -291,14 +285,15 @@ class RuledSurface:
         n.flags.writeable = False
         return n
 
-    def sample(self, s, v: float) -> SurfaceSample:
-        """Finite-difference fundamental forms (independent of the closed forms).
-        The 3x3 stencil of a grid s is one ``point`` call on the stacked grid
-        [s - h; s; s + h], the same grid for every v."""
+    def sample(self, s, v) -> SurfaceSample:
+        """Finite-difference fundamental forms (independent of the closed forms),
+        each field shaped as ``point`` without its last axis.  The 3x3 stencil
+        of a grid s is one ``point`` call on the stacked grid [s - h; s; s + h]
+        for every v at once."""
         h = FD_STEP
         vs = np.array([v - h, v, v + h])
         (pmm, psm, pmp), (pvm, p, pvv), (ppm, pss, ppp) = ex._stacked(
-            lambda t: self.point(t, vs), (s - h, s, s + h), axis=1)
+            lambda t: self.point(t, vs), (s - h, s, s + h), axis=vs.ndim)
         d_s = (pss - psm) / (2 * h)
         d_v = (pvv - pvm) / (2 * h)
         dss = (pss - 2 * p + psm) / h ** 2
@@ -383,9 +378,7 @@ def classify(surface: RuledSurface, n_s: int = 101, n_v: int = 11,
     v_interior = [float(v) for v in v_vals[1:-1]
                   if abs(v) > 1e-3 * (sdef.v_max - sdef.v_min)]
     s_sub = s_vals[:: max(1, n_s // 12)]
-    K = np.empty((len(s_sub), len(v_interior)))
-    for j, v in enumerate(v_interior):
-        K[:, j] = surface.sample(s_sub, v).K
+    K = surface.sample(s_sub, np.array(v_interior)).K.T
     # Each non-finite K is skipped under the float call's error there, once per
     # (s, name) beside det_verdict's entries, or as NonFiniteK where it raised
     # FloatingPointError or nothing.

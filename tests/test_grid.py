@@ -9,7 +9,9 @@ vanishes there (the grid Frenet call gives NaN at that sample alone); and a
 director 1/s, whose grid evaluation is NaN at s = 0 alone.  No grid call
 raises for a failing sample, so a cusp costs a run a few float calls, not
 one per sample.  A grid stacked from two grids must give what the two give
-apart, ``RuledSurface.stack`` makes its stacked passes at once, and one
+apart, ``RuledSurface.stack`` makes its stacked passes at once,
+``RuledSurface.sample`` on a v-grid gives each v's rows of the float-v call
+(``classify`` takes K from one such call), and one
 ``verify`` or ``surface`` run makes a pinned number of curve passes (and
 ``verify`` one frame, one director-row and one batched determinant grid
 call).  The RMF angle table's rate pass must give what :func:`curve.frenet`
@@ -173,6 +175,46 @@ def test_stacked_caches_equal_separate_calls(name):
         stacked.stack(a, b)
         assert [_bytes(call(stacked, t)) for t in (b, a)] == [
             _bytes(call(make(), t)) for t in (b, a)]
+
+
+V_GRID = np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("name,raises", [
+    ("director_1_over_s", {"VanishingCurvature"}),
+    ("example1", {"SingularPoint"}),  # the partials degenerate at s = 0
+    ("proportional_normal_coeffs", set()),
+])
+def test_sample_on_a_v_grid_equals_each_v_apart(name, raises):
+    # One stencil for every v gives each v's row of every field of the
+    # float-v call, bit for bit; a float s gives its column of the same rows;
+    # a float s and v raise where that row is NaN, and nowhere else.
+    make, n_s = SURFACES[name]
+    c = make().sdef.curve
+    G = np.linspace(c.t_min, c.t_max, n_s)
+    whole = fields(make().sample(G, V_GRID))
+    keys = [k for k in whole if k not in ("s", "v")]
+    assert whole["v"] is V_GRID and whole["K"].shape == (len(V_GRID), n_s)
+    for j, v in enumerate(V_GRID.tolist()):
+        apart = fields(make().sample(G, v))
+        assert [_bytes(whole[k][j]) for k in keys] == [_bytes(apart[k]) for k in keys]
+    float_surf, raised = make(), set()
+    for i, t in enumerate(G.tolist()):
+        column = _float_or_none(lambda t: float_surf.sample(t, V_GRID), t)
+        if column is None:
+            assert np.isnan(whole["K"][:, i]).all()
+        else:
+            assert [_bytes(fields(column)[k]) for k in keys] == [
+                _bytes(whole[k][:, i]) for k in keys]
+        for j, v in enumerate(V_GRID.tolist()):
+            try:
+                float_surf.sample(t, v)
+            except GeometryError as err:
+                raised.add(type(err).__name__)
+                assert np.isnan(whole["K"][j, i])
+            else:
+                assert np.isfinite(whole["K"][j, i])
+    assert raised == raises
 
 
 def test_stack_is_eager():
@@ -409,6 +451,21 @@ def test_verify_evaluates_each_grid_once(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
     n_s = load_config(str(cfg)).n_s
     assert frames == [3 * n_s] and rows == [3 * n_s]
+
+
+def test_classify_takes_k_from_one_sample_call(monkeypatch):
+    # every interior v of the K cross-check shares one stencil of the s-grid
+    grids, sample = [], RuledSurface.sample
+
+    def counting(self, s, v):
+        if isinstance(s, np.ndarray):
+            grids.append(np.shape(v))
+        return sample(self, s, v)
+
+    monkeypatch.setattr(RuledSurface, "sample", counting)
+    job = load_config(str(CONFIGS / "proportional_normal_coeffs.json"))
+    ruled.classify(RuledSurface(job.surface), n_s=job.n_s, n_v=11)
+    assert grids == [(8,)]  # the 9 interior v of 11, less v = 0
 
 
 RATE_CURVES = {

@@ -1,13 +1,20 @@
-"""Relations that keep the surface: a rigid motion of the base curve, and an
-affine reparametrization s = a u + b with a > 0.
+"""Relations that keep the surface: a rigid motion of the base curve, an
+affine reparametrization s = a u + b with a > 0, and the reversal s = -u.
 
-Both are written into a bundled config's DSL strings, and ``classify`` and
-``verify`` run through ``cli.main`` on the config and on its image.  Neither
+Each is written into a bundled config's DSL strings, and ``classify`` and
+``verify`` run through ``cli.main`` on the config and on its image.  No
 relation may move ``classify``'s verdict, special case, corollary keys and
 base-curve flags, or ``verify``'s pass and its failing checks; kappa, k_g,
 k_n, tau_g and P agree row by row within 1e-10.  The draws are seeded
 (derandomized) and few, to keep the suite fast.  Under the RMF, theta0 is the
 angle at the start of the range, which a > 0 maps to the start: it is kept.
+
+The reversal turns T, B and so V (with U = N cos(theta) + B sin(theta) kept
+by theta -> -theta) around, so x1 and x3 change sign, and row i of the image
+is row n - 1 - i of the original: kappa, k_g, P, rho and res_geodesic agree
+there, and k_n, tau_g, theta, res_asymptotic and res_curvature_line change
+sign.  Under the RMF, the image starts where the original ends: its theta0 is
+-theta(t_max).
 """
 
 import contextlib
@@ -25,12 +32,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS
-from rmfruled.cli import main
+from rmfruled.cli import load_config, main
+from rmfruled.frame import FrameField
 
 NAMES = ("proportional_normal_coeffs", "example1", "example2", "planar_cos_zero")
 FLAGS = ("is_geodesic", "is_asymptotic", "is_curvature_line_frame",
          "is_curvature_line_rodrigues")
 COLUMNS = ("kappa", "k_g", "k_n", "tau_g", "P")
+REVERSAL_SIGNS = {**dict.fromkeys(("kappa", "k_g", "P", "rho", "res_geodesic"), 1.0),
+                  **dict.fromkeys(("k_n", "tau_g", "theta", "res_asymptotic",
+                                   "res_curvature_line"), -1.0)}
 TOL = 1e-10
 
 _ANGLE = st.floats(-math.pi, math.pi)
@@ -62,15 +73,18 @@ def _column(report: dict, name: str) -> np.ndarray:
                      for row in report["base_curve"]["samples"]])
 
 
-def _assert_same_surface(name: str, doc: dict):
+def _assert_same_surface(name: str, doc: dict, signs=dict.fromkeys(COLUMNS, 1.0),
+                         step=1):
+    """The checks above; row i of ``doc``'s report, taken with ``step`` and
+    times ``signs[column]``, is row i of the original's."""
     (c0, v0), (c1, v1) = _original(name), _run(doc)
     assert (c1["verdict"], c1["special_case"]) == (c0["verdict"], c0["special_case"])
     assert list(c1["corollary_conditions"]) == list(c0["corollary_conditions"])
     assert ([c1["base_curve"][f] for f in FLAGS]
             == [c0["base_curve"][f] for f in FLAGS])
-    for col in COLUMNS:
-        np.testing.assert_allclose(_column(c1, col), _column(c0, col), rtol=0, atol=TOL,
-                                   err_msg=col)
+    for col, sign in signs.items():
+        np.testing.assert_allclose(sign * _column(c1, col)[::step], _column(c0, col),
+                                   rtol=0, atol=TOL, err_msg=col)
     failing = [[c["check"] for c in v["checks"] if not c["pass"]] for v in (v0, v1)]
     assert (v1["pass"], failing[1]) == (v0["pass"], failing[0])
 
@@ -114,3 +128,21 @@ def test_affine_reparametrization_keeps_the_surface(name, a, b):
     curve["s_range"] = [(t - b) / a for t in curve["s_range"]]
     _assert_same_surface(name, doc)
 
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_reversal_keeps_the_surface(name):
+    path = CONFIGS / f"{name}.json"
+    doc = json.loads(path.read_text())
+    curve, director, theta = doc["curve"], doc["director"], doc["theta"]
+    for k in "xyz":
+        curve[k] = _substitute(curve[k], -1.0, 0.0)
+    for k, sign in (("x1", "-"), ("x2", ""), ("x3", "-")):
+        director[k] = f"{sign}({_substitute(director[k], -1.0, 0.0)})"
+    t_min, t_max = curve["s_range"]
+    curve["s_range"] = [-t_max, -t_min]
+    if theta["mode"] == "explicit":
+        theta["expr"] = f"-({_substitute(theta['expr'], -1.0, 0.0)})"
+    else:
+        sdef = load_config(str(path)).surface
+        theta["theta0"] = -FrameField(sdef.curve, sdef.theta).frame_at(float(t_max))[1].theta
+    _assert_same_surface(name, doc, REVERSAL_SIGNS, step=-1)

@@ -388,7 +388,7 @@ def test_classify_lists_nonfinite_K_as_skipped(helix, monkeypatch):
     surf = make_surface(helix, RotationMinimizing(0.0), "0", "1", "0")
     real = surf.sample
     monkeypatch.setattr(surf, "sample", lambda s, v: SurfaceSample(
-        **{**fields(real(s, v)), "K": math.nan}))
+        **{**fields(real(s, v)), "K": np.full(np.shape(real(s, v).K), np.nan)}))
     rep = classify(surf, n_s=13, n_v=5)
     bad = [s for s, reason in rep.skipped_samples if reason == "NonFiniteK"]
     assert len(bad) == 13 * 2  # every s-row at both interior v != 0
