@@ -178,9 +178,10 @@ def _speed(d1: np.ndarray, t):
                   lambda: DegenerateTangent(f"|r'|={speed:.3e} at t={t}"))
 
 
-def _apparatus(c: CurveDef, t):
-    """(position, r', |r'|, r' x r'', its norm, kappa, tau), raising and NaN
-    where :func:`frenet` is; the norm and tau are NaN where kappa <= EPS_REG."""
+def frenet(c: CurveDef, t) -> FrenetData:
+    """Full Frenet apparatus at a float ``t``, raising where the frame is
+    undefined; on a grid, NaN data there instead (N, B and tau where kappa <=
+    EPS_REG)."""
     pos, d1, d2, d3 = eval_curve(c, t)
     speed = _speed(d1, t)
     _check_speed(speed > MAX_SPEED, d1, t)
@@ -191,24 +192,10 @@ def _apparatus(c: CurveDef, t):
     ncr = _guard(ncr, ~(kappa > EPS_REG) if isinstance(kappa, np.ndarray)
                  else kappa <= EPS_REG,
                  lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
-    return pos, d1, speed, cr, ncr, kappa, vec_dot(cr, d3) / ex.power(ncr, 2)
-
-
-def frenet(c: CurveDef, t) -> FrenetData:
-    """Full Frenet apparatus at a float ``t``, raising where the frame is
-    undefined; on a grid, NaN data there instead."""
-    pos, d1, speed, cr, ncr, kappa, tau = _apparatus(c, t)
+    tau = vec_dot(cr, d3) / ex.power(ncr, 2)
     T = d1 / _per_sample(speed)
     B = cr / _per_sample(ncr)
     return FrenetData(pos, T, vec_cross(B, T), B, kappa, tau, speed)
-
-
-def rmf_rate(c: CurveDef, t):
-    """The RMF angle's rate -|r'| tau in the curve's parameter: ``-fd.speed *
-    fd.tau`` of :func:`frenet` at t, raising and NaN where it is, without
-    building the frame."""
-    _, _, speed, _, _, _, tau = _apparatus(c, t)
-    return -speed * tau
 
 
 def validate_regular(c: CurveDef, n_samples: int) -> RegularityReport:

@@ -99,7 +99,8 @@ class Jet3(Record):
         return Jet3(-self.value, -self.d1, -self.d2, -self.d3)
 
     def __sub__(self, other):
-        return self + (-_as_jet(other))
+        o = _as_jet(other)
+        return Jet3(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
 
     def __mul__(self, other):
         o = _as_jet(other)
@@ -293,12 +294,7 @@ def _tokenize(text: str):
             if stripped >= len(text):
                 break
             raise ExprSyntaxError(f"unexpected character {text[stripped]!r}", stripped)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -334,24 +330,17 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                e = BinOp(val, e, self.term())
-            else:
-                return e
+        return self.chain("+-", self.term)
 
     def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                e = BinOp(val, e, self.factor())
-            else:
-                return e
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops: str, operand) -> Expr:
+        """``operand`` (op ``operand``)*, for op in ``ops``, left-associative."""
+        e = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            e = BinOp(self.advance()[1], e, operand())
+        return e
 
     def factor(self) -> Expr:
         kind, val, _ = self.peek()

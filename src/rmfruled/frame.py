@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
-                    rmf_rate, tangent_data, vec_cross)
+                    tangent_data, vec_cross)
 from .errors import GeometryError, VanishingCurvature
 from .record import Record
 
@@ -114,6 +114,11 @@ def _theta_rate(fd: FrenetData) -> float:
     return -fd.speed * fd.tau
 
 
+def _simpson(h, a, m, b):
+    """One Simpson panel of width ``h`` from the rates at its ends and midpoint."""
+    return h * (a + 4.0 * m + b) / 6.0
+
+
 def _theta_across_flat(c: CurveDef, t0: float, t1: float, theta0: float) -> float:
     """Carry theta over an interval containing curvature-free points.
 
@@ -140,8 +145,7 @@ def _richardson(grid, rates, steps) -> float:
     NaN for an odd number of cells; a NaN or infinite rate makes it NaN or inf."""
     if len(steps) % 2:
         return math.nan
-    s_2h = (grid[2::2] - grid[:-2:2]) * (rates[:-2:2] + 4.0 * rates[1:-1:2]
-                                         + rates[2::2]) / 6.0
+    s_2h = _simpson(grid[2::2] - grid[:-2:2], rates[:-2:2], rates[1:-1:2], rates[2::2])
     return float(np.sum(np.abs(steps[::2] + steps[1::2] - s_2h)))
 
 
@@ -149,7 +153,7 @@ def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
     """The :class:`AngleTable` on ``grid`` from the rates at its nodes and
     panel midpoints; with ``tol``, None unless its Richardson difference is
     at most ``tol``."""
-    steps = np.diff(grid) * (rates[:-1] + 4.0 * mids + rates[1:]) / 6.0
+    steps = _simpson(np.diff(grid), rates[:-1], mids, rates[1:])
     richardson = _richardson(grid, rates, steps)
     if tol is not None and not richardson <= tol:
         return None
@@ -185,8 +189,8 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
     The rate does not depend on theta, so each grid interval is one Simpson
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum; intervals where the curvature vanishes are bridged by
-    double reflection.  The rates come from one :func:`curve.rmf_rate` call on
-    the nodes stacked on the midpoints, which builds no frame.  A node or
+    double reflection.  The rates are ``-fd.speed * fd.tau`` of one
+    :func:`curve.frenet` call on the nodes stacked on the midpoints.  A node or
     midpoint without a tangent (a cusp, or a curve undefined there) has no
     rate either, and the bridge across it, whose sub-samples hold the nodes
     and midpoints it spans, ends the job with the float call's error there.
@@ -211,7 +215,7 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
             raise ValueError(f"grid must hold a multiple of {_COARSE} cells")
         half = _COARSE // 2
         try:
-            known = rmf_rate(c, grid[::half])
+            known = _theta_rate(frenet(c, grid[::half]))
         except (ArithmeticError, GeometryError, ex.ExprError):
             pass  # the whole grid raises it again, or its own first error
         else:
@@ -219,7 +223,7 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
             if table is not None:
                 return table
             rates[::half], fresh[::half] = known, False
-    rates[fresh], mids = ex._stacked(lambda t: rmf_rate(c, t),
+    rates[fresh], mids = ex._stacked(lambda t: _theta_rate(frenet(c, t)),
                                      (grid[fresh], 0.5 * (grid[:-1] + grid[1:])))
     return _table(c, theta0, grid, rates, mids)
 
@@ -325,8 +329,8 @@ class FrameField:
         k, t0 = self._panel(t)
         th0 = self._thetas[k]
         if mid is None:  # NaN if flat
-            mid = rmf_rate(self.curve, np.ravel(0.5 * (t0 + t)))
-        step = (t - t0) * (self._rates[k] + 4.0 * mid + rate) / 6.0
+            mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))
+        step = _simpson(t - t0, self._rates[k], mid, rate)
         theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
         for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
             # Bridge from the last node at or below t that has a Frenet frame.

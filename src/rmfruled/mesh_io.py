@@ -142,7 +142,8 @@ def _jsonable(obj):
     return obj
 
 
-def report_to_json(report: ClassificationReport) -> str:
+def report_to_json(report) -> str:
+    """JSON text of a report, a record or a dict, with ``schema_version``."""
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(_jsonable(report))
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

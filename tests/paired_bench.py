@@ -7,10 +7,17 @@ in the machine's speed falls on both sides of a pair alike.  The two outputs
 must be byte-identical, with the same exit code.  Prints each side's median
 job time between its first and third quartiles, whether the gap between the
 medians exceeds the old side's interquartile range, and the share of jobs that
-ran faster on the new side:
+ran faster on the new side, as one JSON line:
 
     python tests/paired_bench.py --old /path/to/parent --workload verify_rmf \\
         --seed 1 --rounds 60 [--in-process]
+
+``--workload`` and ``--seed`` each take several values; every (workload,
+seed) pair runs in turn on the same two sides and prints its own JSON line,
+so one command covers a change's no-regression check:
+
+    python tests/paired_bench.py --old /path/to/parent --in-process \\
+        --workload mesh_rmf mesh_explicit verify_rmf --seed 1 2 3
 
 Unpaired runs of ``rmfbench/run.py`` on a machine whose speed swings between
 phases can hide a gain of a few percent; a paired share of faster jobs does
@@ -110,44 +117,25 @@ def run_pair(workers: dict, order, job, work: Path) -> dict:
     return result
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--old", required=True, type=Path, help="the baseline checkout")
-    ap.add_argument("--new", type=Path, default=NEW, help="the changed checkout")
-    ap.add_argument("--workload", required=True, choices=jobs.WORKLOADS)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=60)
-    ap.add_argument("--in-process", action="store_true",
-                    help="run both sides in this interpreter, not in two workers")
-    args = ap.parse_args(argv)
-
-    workers = {}
+def measure(workers: dict, workload: str, seed: int, rounds: int, work: Path) -> dict:
+    """The summary of ``rounds`` rounds of ``workload`` at ``seed``, one job
+    pair at a time."""
     times = {"old": [], "new": []}
-    faster = mismatched = 0
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for side in ("old", "new"):
-                root = getattr(args, side).resolve()
-                workers[side] = (InProcess(root, f"rmfruled_{side}", Path(tmp))
-                                 if args.in_process else Worker(root))
-            k = 0
-            for r in range(args.rounds):
-                for job in jobs.make_round(args.workload, args.seed, r):
-                    order = ("old", "new") if k % 2 == 0 else ("new", "old")
-                    res = run_pair(workers, order, job, Path(tmp))
-                    k += 1
-                    if (res["old"][0], res["old"][2]) != (res["new"][0], res["new"][2]):
-                        mismatched += 1
-                        print(f"outputs differ: round {r}, exit codes "
-                              f"{res['old'][0]} / {res['new'][0]}", file=sys.stderr)
-                    for side in times:
-                        times[side].append(res[side][1])
-                    faster += res["new"][1] < res["old"][1]
-    finally:
-        for w in workers.values():
-            w.close()
+    k = faster = mismatched = 0
+    for r in range(rounds):
+        for job in jobs.make_round(workload, seed, r):
+            order = ("old", "new") if k % 2 == 0 else ("new", "old")
+            res = run_pair(workers, order, job, work)
+            k += 1
+            if (res["old"][0], res["old"][2]) != (res["new"][0], res["new"][2]):
+                mismatched += 1
+                print(f"outputs differ: {workload} seed {seed} round {r}, exit codes "
+                      f"{res['old'][0]} / {res['new'][0]}", file=sys.stderr)
+            for side in times:
+                times[side].append(res[side][1])
+            faster += res["new"][1] < res["old"][1]
 
-    summary = {"workload": args.workload, "seed": args.seed, "jobs": k}
+    summary = {"workload": workload, "seed": seed, "jobs": k}
     for side in times:
         q1, p50, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
         summary.update({f"{side}_job_s_q1": q1, f"{side}_job_s_p50": p50,
@@ -156,7 +144,35 @@ def main(argv=None) -> int:
         abs(summary["new_job_s_p50"] - summary["old_job_s_p50"])
         > summary["old_job_s_q3"] - summary["old_job_s_q1"])
     summary.update(new_faster_share=faster / k, outputs_differ=mismatched)
-    print(json.dumps(summary))
+    return summary
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--old", required=True, type=Path, help="the baseline checkout")
+    ap.add_argument("--new", type=Path, default=NEW, help="the changed checkout")
+    ap.add_argument("--workload", required=True, nargs="+", choices=jobs.WORKLOADS)
+    ap.add_argument("--seed", type=int, nargs="+", default=[1])
+    ap.add_argument("--rounds", type=int, default=60)
+    ap.add_argument("--in-process", action="store_true",
+                    help="run both sides in this interpreter, not in two workers")
+    args = ap.parse_args(argv)
+
+    workers, mismatched = {}, 0
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in ("old", "new"):
+                root = getattr(args, side).resolve()
+                workers[side] = (InProcess(root, f"rmfruled_{side}", Path(tmp))
+                                 if args.in_process else Worker(root))
+            for workload in args.workload:
+                for seed in args.seed:
+                    summary = measure(workers, workload, seed, args.rounds, Path(tmp))
+                    print(json.dumps(summary), flush=True)
+                    mismatched += summary["outputs_differ"]
+    finally:
+        for w in workers.values():
+            w.close()
     return 1 if mismatched else 0
 
 

@@ -435,3 +435,27 @@ def test_verify_developable_is_the_classify_verdict(tmp_path, name):
                       ("no", m / 20 if m else -1.0)):
         cls, got = verdicts(tol)
         assert cls["verdict"] == got == want
+
+
+@pytest.mark.parametrize("want", [True, "yes", 1, None], ids=["true", "yes", "1", "null"])
+@pytest.mark.parametrize("key", ["developable", "geodesic"])
+def test_expectation_values_are_checked(tmp_path, capsys, key, want):
+    # developable takes "yes", "no" or "borderline" and a flag takes a JSON
+    # boolean; anything else is a config error, with no output written
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["expect"] = {key: want}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = main(["verify", "--config", str(cfg), "--out", str(out_dir / "v.json")])
+    err = capsys.readouterr().err
+    valid = want == "yes" if key == "developable" else want is True  # 1 == True
+    if valid:
+        assert code in (0, 1) and err == ""
+        (result,) = json.loads((out_dir / "v.json").read_text())["expectations"]
+        assert result["want"] == want
+    else:
+        assert code == 2
+        assert err.startswith(f"E_CONFIG: expect.{key} must be ") and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmfruled import frame
-from rmfruled.curve import CurveDef, frenet, rmf_rate, tangent_data
+from rmfruled.curve import CurveDef, frenet, tangent_data
 from rmfruled.expr import ExprDomainError
 from rmfruled.frame import (TOL_TABLE, ExplicitTheta, FrameField,
                             RotationMinimizing, adapted_frame, double_reflection,
@@ -147,8 +147,8 @@ def test_turned_down_table_evaluates_each_rate_once(monkeypatch):
 
     def counted(c, t):
         counts.append(np.size(t))
-        return rmf_rate(c, t)
-    monkeypatch.setattr(frame, "rmf_rate", counted)
+        return frenet(c, t)
+    monkeypatch.setattr(frame, "frenet", counted)
     field = FrameField(CurveDef.from_strings("s", "s^2", "s^3", -1, 1),
                        RotationMinimizing(0.0))
     assert field.cells == 2048 and counts == [513, 3584]
@@ -164,7 +164,7 @@ def _reference(c: CurveDef, n: int = 2 ** 16) -> np.ndarray:
     cell's steps summed by ``math.fsum``, so that rounding stays far below
     the truncation error of 256 cells."""
     g = np.linspace(c.t_min, c.t_max, n + 1)
-    r, m = rmf_rate(c, g), rmf_rate(c, 0.5 * (g[:-1] + g[1:]))
+    r, m = (frame._theta_rate(frenet(c, t)) for t in (g, 0.5 * (g[:-1] + g[1:])))
     steps = (np.diff(g) * (r[:-1] + 4.0 * m + r[1:]) / 6.0).reshape(256, -1)
     cells = [math.fsum(row) for row in steps.tolist()]
     return np.array([math.fsum(cells[:k]) for k in range(257)])

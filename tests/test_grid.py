@@ -14,8 +14,8 @@ apart, ``RuledSurface.stack`` makes its stacked passes at once,
 (``classify`` takes K from one such call), and one
 ``verify`` or ``surface`` run makes a pinned number of curve passes (and
 ``verify`` one frame, one director-row and one batched determinant grid
-call).  The RMF angle table's rate pass must give what :func:`curve.frenet`
-gives, bit for bit, NaN for NaN and error for error.
+call).  The RMF angle table must hold at each node the rate of a float
+:func:`curve.frenet` call there, bit for bit, NaN where that call raises.
 The probe that makes the float calls at failing samples,
 ``expr._float_path``, has a contract test of its own.
 """
@@ -393,16 +393,16 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("command,cfg,jets,frenets", [
-    ("verify", "proportional_normal_coeffs.json", 9, 1),
-    ("classify", "proportional_normal_coeffs.json", 15, 2),
-    ("surface", "proportional_normal_coeffs.json", 9, 1),
+    ("verify", "proportional_normal_coeffs.json", 9, 2),
+    ("classify", "proportional_normal_coeffs.json", 15, 3),
+    ("surface", "proportional_normal_coeffs.json", 9, 2),
     ("surface", "example1.json", 7, 1),
 ])
 def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets):
-    # Three curve jets per grid.  Under the RMF the angle table takes them on
-    # its nodes and midpoints for its rates alone, with no Frenet call.  Every
-    # other grid takes one Frenet call, stacked on its panel midpoints under
-    # the RMF, and three director jets; an explicit theta adds one jet.
+    # Three curve jets per grid.  Under the RMF the angle table takes one
+    # Frenet call on its nodes and midpoints for its rates.  Every other grid
+    # takes one Frenet call, stacked on its panel midpoints under the RMF, and
+    # three director jets; an explicit theta adds one jet.
     # surface evaluates the s-grid; verify evaluates [s; s + h; s - h] once,
     # for the report and the oracles alike; classify evaluates the s-grid,
     # then [s - h; s; s + h] for its K stencil, which verify does not run.
@@ -489,24 +489,23 @@ def _outcome(fn, t):
 
 @pytest.mark.parametrize("name", sorted(RATE_CURVES))
 def test_rate_pass_equals_frenet(name):
-    # On the angle table's grid of nodes and panel midpoints, as theta_rmf
-    # stacks it, and at float samples: every failing one and every 64th.
+    # The angle table, sized as FrameField sizes it, holds at each node the
+    # rate -|r'| tau of a float Frenet call there, bit for bit, and NaN where
+    # that call raises; a table that raises raises the error class of the
+    # float call at the first node where one fails.
     c = RATE_CURVES[name]
 
-    def from_frenet(t):
+    def rate(t):
         fd = curve.frenet(c, t)
         return -fd.speed * fd.tau
 
-    def rate(t):
-        return curve.rmf_rate(c, t)
-
     nodes = np.linspace(c.t_min, c.t_max, frame._N_CELLS + 1)
-    grid = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
-    assert _outcome(rate, grid) == _outcome(from_frenet, grid)
-    picks = set(range(0, len(grid), 64))
-    if _outcome(rate, grid)[0] == "value":
-        want = from_frenet(grid)
-        assert np.array_equal(np.isnan(rate(grid)), np.isnan(want))
-        picks.update(np.flatnonzero(np.isnan(want)).tolist())
-    for t in grid[sorted(picks)].tolist():
-        assert _outcome(rate, t) == _outcome(from_frenet, t)
+    try:
+        table = frame.theta_rmf(c, 0.0, nodes, tol=frame.TOL_TABLE)
+    except Exception as err:  # compared as they are, whatever they are
+        failed = (_outcome(rate, t) for t in nodes.tolist())
+        assert type(err).__name__ == next(o[0] for o in failed if o[0] != "value")
+        return
+    for t, got in zip(table.nodes.tolist(), table.rates.tolist()):
+        kind, value = _outcome(rate, t)
+        assert np.float64(got).tobytes() == value if kind == "value" else np.isnan(got)
