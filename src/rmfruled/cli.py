@@ -225,7 +225,22 @@ def cmd_classify(job: JobConfig, surface: RuledSurface, out_path: str) -> int:
     return 0
 
 
+# The BaseCurveReport flag each boolean expectation of ``verify`` reads.
+_EXPECT_FLAGS = {"geodesic": "is_geodesic", "asymptotic": "is_asymptotic",
+                "curvature_line_frame": "is_curvature_line_frame",
+                "curvature_line": "is_curvature_line_rodrigues"}
+
+
 def cmd_verify(job: JobConfig, surface: RuledSurface, out_path: str) -> int:
+    for key, want in job.expect.items():  # before any evaluation
+        if key == "developable":
+            if want not in ("yes", "no", "borderline"):
+                raise ConfigError('expect.developable must be "yes", "no" '
+                                  'or "borderline"')
+        elif key not in _EXPECT_FLAGS:
+            raise ConfigError(f"unknown expectation {key!r}")
+        elif not isinstance(want, bool):
+            raise ConfigError(f"expect.{key} must be true or false")
     grid = _s_grid(job)
     surface.stack(*invariants.oracle_grids(grid))
     bc = invariants.base_curve_report(surface, grid, tol=job.tol_inv)
@@ -262,25 +277,11 @@ def cmd_verify(job: JobConfig, surface: RuledSurface, out_path: str) -> int:
     check("det(T,X,X') vs closed numerator", framed,
           surface.ruling_det(grid) - surface.det_numerator_closed(grid), 1e-8)
 
+    flags = {key: getattr(bc, flag) for key, flag in _EXPECT_FLAGS.items()}
     expect_results = []
-    flag_map = {
-        "geodesic": bc.is_geodesic,
-        "asymptotic": bc.is_asymptotic,
-        "curvature_line_frame": bc.is_curvature_line_frame,
-        "curvature_line": bc.is_curvature_line_rodrigues,
-    }
     for key, want in job.expect.items():
-        if key == "developable":
-            if want not in ("yes", "no", "borderline"):
-                raise ConfigError('expect.developable must be "yes", "no" '
-                                  'or "borderline"')
-            got = ruled.det_verdict(surface, grid, job.tol_dev)[0]
-        elif key in flag_map:
-            if not isinstance(want, bool):
-                raise ConfigError(f"expect.{key} must be true or false")
-            got = flag_map[key]
-        else:
-            raise ConfigError(f"unknown expectation {key!r}")
+        got = (ruled.det_verdict(surface, grid, job.tol_dev)[0]
+               if key == "developable" else flags[key])
         expect_results.append({"expect": key, "want": want, "got": got,
                                "pass": bool(got == want)})
 
@@ -288,7 +289,7 @@ def cmd_verify(job: JobConfig, surface: RuledSurface, out_path: str) -> int:
     doc = {
         "checks": checks,
         "expectations": expect_results,
-        "flags": {k: bool(v) for k, v in flag_map.items()},
+        "flags": {k: bool(v) for k, v in flags.items()},
         "director_parallel_tangent": bc.director_parallel_tangent,
         "pass": ok,
     }

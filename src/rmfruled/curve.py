@@ -95,7 +95,7 @@ def _first(mask, t):
 
 def _check_range(c: CurveDef, t):
     inside = (c.t_min - RANGE_SLACK <= t) & (t <= c.t_max + RANGE_SLACK)
-    bad = _first(~inside if isinstance(inside, np.ndarray) else not inside, t)
+    bad = _first(np.logical_not(inside), t)
     if bad is not None:
         raise ParameterOutOfRange(f"t={bad[1]} outside [{c.t_min}, {c.t_max}]")
 
@@ -189,8 +189,7 @@ def frenet(c: CurveDef, t) -> FrenetData:
     ncr = _overflows(vec_norm(cr), lambda: f"|r' x r''| overflows at t={t}")
     kappa = ncr / ex.power(speed, 3)
     # a grid row without a tangent has NaN kappa, and no frame either
-    ncr = _guard(ncr, ~(kappa > EPS_REG) if isinstance(kappa, np.ndarray)
-                 else kappa <= EPS_REG,
+    ncr = _guard(ncr, np.logical_not(kappa > EPS_REG),
                  lambda: VanishingCurvature(f"kappa={kappa:.3e} at t={t}"))
     tau = vec_dot(cr, d3) / ex.power(ncr, 2)
     T = d1 / _per_sample(speed)

@@ -292,7 +292,7 @@ class FrameField:
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
         self.curve = c
         self.policy = policy
-        if isinstance(policy, RotationMinimizing):
+        if self.is_rmf:
             nodes = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
             if not np.all(np.diff(nodes) > 0):
                 raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
@@ -310,16 +310,16 @@ class FrameField:
 
     def _panel(self, t):
         """(index, parameter) of the table node that starts the panel of t."""
-        k = np.clip((t - self.curve.t_min) // self._h, 0,
-                    len(self._nodes) - 2).astype(int)
+        k = np.fmin(np.fmax((t - self.curve.t_min) // self._h, 0),
+                    len(self._nodes) - 2).astype(int)  # NaN -> 0, not -2^63
         return k, self._nodes[k]
 
-    def theta_at(self, t, fd: FrenetData, mid=None):
+    def theta_at(self, t, fd: FrenetData, mid):
         """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
         ``fd``; only samples with a frame but a NaN panel are bridged.  ``mid``
-        holds the rates at the panel midpoints if the caller has them.  A
-        non-finite explicit theta or theta' is NaN (ExprDomainError at a float)."""
-        if isinstance(self.policy, ExplicitTheta):
+        holds the rates at the panel midpoints (NaN if flat), None unless RMF.
+        A non-finite explicit theta or theta' is NaN (ExprDomainError at a float)."""
+        if not self.is_rmf:
             j = ex.eval_jet(self.policy.theta, t)
             bad = ~(np.isfinite(j.value) & np.isfinite(j.d1))
             return tuple(_guard(x, bad, lambda: ex.ExprDomainError(
@@ -328,8 +328,6 @@ class FrameField:
         rate = _theta_rate(fd)
         k, t0 = self._panel(t)
         th0 = self._thetas[k]
-        if mid is None:  # NaN if flat
-            mid = _theta_rate(frenet(self.curve, np.ravel(0.5 * (t0 + t))))
         step = _simpson(t - t0, self._rates[k], mid, rate)
         theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
         for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
@@ -344,10 +342,11 @@ class FrameField:
 
     def frame_at(self, t):
         """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where
-        kappa = 0.  Under the RMF a grid is stacked on its panel midpoints for
-        one Frenet call."""
-        if self.is_rmf and isinstance(t, np.ndarray):
-            fd, at_mid = ex._stacked(self.frenet_at, (t, 0.5 * (self._panel(t)[1] + t)))
+        kappa = 0.  Under the RMF the Frenet data at t and at its panel
+        midpoints come from one ``_stacked`` call, a float's midpoint a grid of one."""
+        if self.is_rmf:
+            fd, at_mid = ex._stacked(self.frenet_at,
+                                     (t, np.ravel(0.5 * (self._panel(t)[1] + t))))
             mid = _theta_rate(at_mid)
         else:
             fd, mid = self.frenet_at(t), None

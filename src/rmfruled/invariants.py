@@ -172,8 +172,7 @@ def base_curve_report(surface: RuledSurface, s_values,
     jets, X, _ = surface._row(s)
     fd, af = surface.frame(s)
     # X is NaN wherever a coefficient, T, U or V is (U at a flat sample)
-    framed, _ = ex._float_path(lambda t: (surface.coefficients(t), surface.frame(t)),
-                               s, X, GeometryError, "X")
+    framed, _ = ex._float_path(surface._row, s, X, GeometryError, "X")
     _director_scale(jets)
     x1, x2, x3 = (j.value for j in jets)
     w2 = x2 * x2 + x3 * x3

@@ -129,10 +129,6 @@ def _jsonable(obj):
         return doc
     if isinstance(obj, Record):
         return {k: _jsonable(v) for k, v in fields(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return [float(x) for x in obj.ravel()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float) and math.isnan(obj):
         return None
     if isinstance(obj, dict):

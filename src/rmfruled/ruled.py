@@ -44,7 +44,8 @@ def _key(s):
 class _Keyed:
     """``fn`` of a float or a grid, cached by the float or the bytes of the
     grid's values; the oldest of more than ``MAXSIZE`` entries goes first.
-    Each call of ``fn`` counts as one miss."""
+    Each call of ``fn`` counts as one miss.  Every array stored, alone or in a
+    tuple, is made read-only, as all callers share it."""
 
     MAXSIZE = 8192
 
@@ -68,6 +69,9 @@ class _Keyed:
         return self._entries[key]
 
     def _store(self, key, value):
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         self._entries[key] = value
         if len(self._entries) > self.MAXSIZE:
             del self._entries[next(iter(self._entries))]
@@ -88,6 +92,16 @@ def _director_scale(jets) -> np.ndarray:
     if jets[0].value.size and top.max() <= EPS_REG:
         raise ZeroDirector("x1 = x2 = x3 = 0 at every grid node")
     return top
+
+
+def _unit_normal(d_s, d_v, s, v, error):
+    """(d_s x d_v / |d_s x d_v|, where |d_s x d_v| <= EPS_REG): a float raises
+    ``error()`` there, and FloatingPointError where the length overflows; a
+    grid is NaN at both, its mask False where the length overflows or is NaN."""
+    n = vec_cross(d_s, d_v)
+    nn = _overflows(vec_norm(n), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
+    degenerate = nn <= EPS_REG
+    return n / _per_sample(_guard(nn, degenerate, error)), degenerate
 
 
 def _over_xp2(num, xp: np.ndarray, s):
@@ -148,7 +162,7 @@ class RuledSurface:
         self._frame_at = _Keyed(self.field.frame_at)
         self._row = _Keyed(self._director_row)
         self._det = _Keyed(self._ruling_det)
-        self._normal0 = _Keyed(self._base_normal)
+        self._normal0 = _Keyed(lambda s: self.normal(s, 0.0))
 
     def stack(self, *grids):
         """Evaluate the frames, director rows and base normals of ``grids`` now,
@@ -166,15 +180,15 @@ class RuledSurface:
 
     def _director_row(self, s):
         """(coefficient jets, X, X' per arc length) at s, cached as ``_row``: the
-        one evaluation of X and X'; both read-only, as all callers share them."""
-        fd, af = self.frame(s)
+        one evaluation of X and X'.  A float raises the director's error before
+        the frame's."""
         jets = self.coefficients(s)
+        fd, af = self.frame(s)
         x1, x2, x3 = (_per_sample(j.value) for j in jets)
         X = x1 * fd.T + x2 * af.U + x3 * af.V
         Xp = np.zeros(X.shape)
         for j, e_vec, de in zip(jets, (fd.T, af.U, af.V), frame_derivatives(fd, af)):
             Xp += _per_sample(j.d1 / fd.speed) * e_vec + _per_sample(j.value) * de
-        X.flags.writeable = Xp.flags.writeable = False
         return jets, X, Xp
 
     def director(self, s) -> np.ndarray:
@@ -216,13 +230,9 @@ class RuledSurface:
 
     def _ruling_det(self, s):
         _, X, Xp = self._row(s)
-        m = np.stack([self.frame(s)[0].T, X, Xp], axis=-1)
-        if m.ndim == 2:
-            return float(np.linalg.det(m))
         with np.errstate(invalid="ignore"):  # NaN rows warn outside the CLI
-            det = np.linalg.det(m)
-        det.flags.writeable = False
-        return det
+            det = np.linalg.det(np.stack([self.frame(s)[0].T, X, Xp], axis=-1))
+        return det if det.ndim else float(det)
 
     def distribution_parameter(self, s):
         """det(T, X, X') / |X'|^2; raises at cylindrical points (|X'| ~ 0)."""
@@ -260,30 +270,18 @@ class RuledSurface:
         return self._normal(s, v)[0]
 
     def _normal(self, s, v):
-        """(``normal(s, v)``, whether the partials degenerate there): on a grid,
-        a mask that is False where |d_s x d_v| overflows or is NaN."""
-        d_s, d_v = self.partials(s, v)
-        n = vec_cross(d_s, d_v)
-        nn = _overflows(vec_norm(n), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
-        degenerate = nn <= EPS_REG
-        if isinstance(nn, np.ndarray):
-            return n / np.where(degenerate, np.nan, nn)[..., None], degenerate
-        if degenerate:
+        """(``normal(s, v)``, whether the partials degenerate there)."""
+        def error():
             (_, j2, j3), _, _ = self._row(s)
             if v == 0.0 and j2.value ** 2 + j3.value ** 2 <= EPS_REG ** 2:
-                raise TangentRuling(f"x2=x3=0 at s={s}: no normal on the base curve")
-            raise SingularPoint(f"degenerate partials at (s={s}, v={v})")
-        return n / nn, False
+                return TangentRuling(f"x2=x3=0 at s={s}: no normal on the base curve")
+            return SingularPoint(f"degenerate partials at (s={s}, v={v})")
+        return _unit_normal(*self.partials(s, v), s, v, error)
 
     def base_normal(self, s) -> np.ndarray:
         """``normal(s, 0.0)``, the unit normal along the base curve; cached per
         float or grid, and read-only."""
         return self._normal0(s)
-
-    def _base_normal(self, s):
-        n = self.normal(s, 0.0)
-        n.flags.writeable = False
-        return n
 
     def sample(self, s, v) -> SurfaceSample:
         """Finite-difference fundamental forms (independent of the closed forms),
@@ -300,11 +298,8 @@ class RuledSurface:
         dvv = (pvv - 2 * p + pvm) / h ** 2
         dsv = (ppp - ppm - pmp + pmm) / (4 * h ** 2)
         E, F, G = vec_dot(d_s, d_s), vec_dot(d_s, d_v), vec_dot(d_v, d_v)
-        cr = vec_cross(d_s, d_v)
-        ncr = _overflows(vec_norm(cr), lambda: f"|d_s x d_v| overflows at (s={s}, v={v})")
-        ncr = _guard(ncr, ncr <= EPS_REG,
-                     lambda: SingularPoint(f"degenerate partials at (s={s}, v={v})"))
-        n = cr / _per_sample(ncr)
+        n, _ = _unit_normal(d_s, d_v, s, v, lambda: SingularPoint(
+            f"degenerate partials at (s={s}, v={v})"))
         e, f, g = vec_dot(dss, n), vec_dot(dsv, n), vec_dot(dvv, n)
         K = (e * g - f * f) / (E * G - F * F)
         return SurfaceSample(s, v, p, d_s, d_v, n, E, F, G, e, f, g, K)
@@ -338,9 +333,8 @@ def det_verdict(surface: RuledSurface, s_vals: np.ndarray, tol_dev: float = TOL_
     below ``tol_dev``, "no" above ``10 tol_dev`` and "borderline" between.
     Raises :class:`ZeroDirector` if the director vanishes at every node."""
     dets = surface.ruling_det(s_vals)
-    ok, failed = ex._float_path(
-        lambda s: (surface.coefficients(s), surface.ruling_det(s)), s_vals, dets,
-        GeometryError, "det(T,X,X')")
+    ok, failed = ex._float_path(surface.ruling_det, s_vals, dets, GeometryError,
+                                "det(T,X,X')")
     skipped = [(float(s_vals[i]), name) for i, name in failed.items()]
     max_abs = _director_scale(surface._row(s_vals)[0])
     if not ok.any():

@@ -459,3 +459,24 @@ def test_expectation_values_are_checked(tmp_path, capsys, key, want):
         assert code == 2
         assert err.startswith(f"E_CONFIG: expect.{key} must be ") and err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("expect", [{"developable": True}, {"bogus": True}],
+                         ids=["developable-bool", "unknown"])
+def test_expectations_are_checked_before_any_evaluation(tmp_path, capsys, expect):
+    # the straight line has no usable verify sample (exit 3 with a valid
+    # expectation); a malformed expectation is a config error all the same
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"] = {"x": "s", "y": "0", "z": "0", "s_range": [0, 1]}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfg = tmp_path / "c.json"
+    for want, code in ((expect, 2), ({"geodesic": True}, 3)):
+        cfg.write_text(json.dumps({**doc, "expect": want}))
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(out_dir / "v.json")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:" if code == 2 else "E_GEOMETRY:")
+        assert err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+

@@ -5,6 +5,7 @@ import pytest
 
 from rmfruled import frame
 from rmfruled.curve import CurveDef, frenet, tangent_data
+from rmfruled.errors import ParameterOutOfRange
 from rmfruled.expr import ExprDomainError
 from rmfruled.frame import (TOL_TABLE, ExplicitTheta, FrameField,
                             RotationMinimizing, adapted_frame, double_reflection,
@@ -396,3 +397,13 @@ def test_non_finite_explicit_theta_is_located(helix):
     _, af = field.frame_at(np.array([-1.0, 0.0, 0.5]))
     assert np.isnan(af.theta).all() and np.isnan(af.theta_prime).all()
     assert np.isnan(af.U).all() and np.isnan(af.V).all()
+
+
+@pytest.mark.parametrize("t", [math.nan, np.array([1.0, math.nan]), math.inf],
+                         ids=["float-nan", "grid-nan", "float-inf"])
+def test_non_finite_query_is_out_of_range(helix_2pi, t):
+    # the panel lookup runs first and takes a NaN or infinite t to panel 0;
+    # the Frenet call then names t as outside the range
+    field = FrameField(helix_2pi, RotationMinimizing(0.0))
+    with pytest.raises(ParameterOutOfRange, match="outside"):
+        field.frame_at(t)

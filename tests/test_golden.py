@@ -30,13 +30,14 @@ from the configs' own n_s.  ``classify`` also runs at ``--samples 1001`` in
 both formats (``classify@1001-csv:...``, ``classify@1001-json:...``), which
 pin the base-curve table as CSV and as JSON rows.
 
-The digests live in ``golden_digests.json``.  Regenerate them, only for a
-change that is meant to alter an output, with
+The digests live in ``golden_digests.json``.  Check them outside pytest with
 
     PYTHONPATH=src python tests/test_golden.py
 
 which prints one line per case whose exit code, stderr or digest moved,
-old -> new (or "no case moved").
+old -> new (or "no case moved"), writes nothing, and exits 1 if any case
+moved.  Only for a change that is meant to alter an output, regenerate them
+with ``--write``, which prints the same lines.
 """
 
 import contextlib
@@ -165,11 +166,17 @@ def test_moves_names_each_moved_field():
 
 
 if __name__ == "__main__":
+    write = sys.argv[1:] == ["--write"]
+    if sys.argv[1:] and not write:
+        print(f"usage: {sys.argv[0]} [--write]", file=sys.stderr)
+        sys.exit(2)
     table = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             table[case] = _run(*CASES[case], Path(tmp))
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    print("\n".join(_moves(recorded, table)) or "no case moved")
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    moves = _moves(recorded, table)
+    print("\n".join(moves) or "no case moved")
+    if write:
+        DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.exit(1 if moves and not write else 0)

@@ -240,6 +240,22 @@ def test_stack_covers_base_normals():
     assert surface._normal0.cache_info()[:2] == (2, 1)
 
 
+def test_cached_arrays_are_read_only():
+    # every array a cache stores is shared by its callers, so none takes a
+    # write: the slices ``stack`` stores, a plain grid call's and a float call's
+    surface = SURFACES["proportional_normal_coeffs"][0]()
+    a = np.linspace(0.5, 5.0, 41)
+    surface.stack(a, a + FD_STEP)
+    for s in (a, a + FD_STEP, np.linspace(1.0, 2.0, 5), 1.25):
+        _, X, Xp = surface._row(s)
+        arrays = [X, Xp, surface.base_normal(s)]
+        if isinstance(s, np.ndarray):  # a float determinant is a float
+            arrays.append(surface.ruling_det(s))
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
 def test_keyed_cache_evicts_the_oldest_entry():
     cache = ruled._Keyed(lambda s: s)
     for s in range(ruled._Keyed.MAXSIZE + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_surface
 from rmfruled.curve import CurveDef
+from rmfruled.expr import ExprDomainError
 from rmfruled.errors import SingularPoint, TangentRuling, ZeroDirector
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.record import fields
@@ -124,6 +125,17 @@ def test_frame_does_not_evaluate_the_director(helix):
     surf = make_surface(helix, RotationMinimizing(0.0), "1/s", "0", "1")
     surf.frame(0.0)
     assert surf._row.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("method", ["ruling_det", "director", "distribution_parameter",
+                                    "director_derivative_numeric"])
+def test_director_error_comes_before_the_frame_error(method):
+    # x1 = 1/s on a curve whose curvature vanishes at s = 0: both fail there,
+    # and a float call names the director's error, as the CLI probes do
+    flat = CurveDef.from_strings("s", "s^3", "s^4", -1, 1)
+    surf = make_surface(flat, RotationMinimizing(0.0), "1/s", "1", "0")
+    with pytest.raises(ExprDomainError, match="division by zero in 's'"):
+        getattr(surf, method)(0.0)
 
 
 def test_numeric_constant_frame(line):
