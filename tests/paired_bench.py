@@ -4,10 +4,11 @@ One ``rmfbench/worker.py`` process runs per checkout, each importing its own
 ``src``.  Every job of ``rmfbench/jobs.make_round`` is sent to both workers in
 turn, the side that goes first alternating from job to job, so that a change
 in the machine's speed falls on both sides of a pair alike.  The two outputs
-must be byte-identical, with the same exit code.  Prints each side's median
-job time between its first and third quartiles, whether the gap between the
-medians exceeds the old side's interquartile range, and the share of jobs that
-ran faster on the new side, as one JSON line:
+must be byte-identical, with the same exit code.  A round's time on one side
+is the sum of its jobs' times there.  Prints each side's median round time
+between its first and third quartiles, whether the gap between the medians
+exceeds the old side's interquartile range, and the share of rounds that ran
+faster on the new side, as one JSON line:
 
     python tests/paired_bench.py --old /path/to/parent --workload verify_rmf \\
         --seed 1 --rounds 60 [--in-process]
@@ -20,10 +21,12 @@ so one command covers a change's no-regression check:
         --workload mesh_rmf mesh_explicit verify_rmf --seed 1 2 3
 
 Unpaired runs of ``rmfbench/run.py`` on a machine whose speed swings between
-phases can hide a gain of a few percent; a paired share of faster jobs does
-not.  Two worker processes can still differ by a few percent for reasons of
-their own, which a pair of processes cannot tell from a change in the code.  ``--in-process`` runs both sides in this one
-interpreter instead: each checkout's ``src/rmfruled`` is copied under its own
+phases can hide a gain of a few percent; a paired share of faster rounds
+does not.  Quartiles over single jobs would mix the slots' sizes, whose job
+times differ by more than most changes do.  Two worker processes can still
+differ by a few percent for reasons of their own, which a pair of processes
+cannot tell from a change in the code.  ``--in-process`` runs both sides in
+this one interpreter instead: each checkout's ``src/rmfruled`` is copied under its own
 package name (every import inside the package is relative), and each side's
 ``cli.main`` is called as the worker calls it, after a ``gc.collect()``.
 
@@ -119,10 +122,13 @@ def run_pair(workers: dict, order, job, work: Path) -> dict:
 
 def measure(workers: dict, workload: str, seed: int, rounds: int, work: Path) -> dict:
     """The summary of ``rounds`` rounds of ``workload`` at ``seed``, one job
-    pair at a time."""
+    pair at a time.  The spread and the faster share are taken over each
+    side's round times (the sum of a round's job times), since one round
+    holds one job of every slot and the slots' sizes differ."""
     times = {"old": [], "new": []}
-    k = faster = mismatched = 0
+    k = mismatched = 0
     for r in range(rounds):
+        spent = {"old": 0.0, "new": 0.0}
         for job in jobs.make_round(workload, seed, r):
             order = ("old", "new") if k % 2 == 0 else ("new", "old")
             res = run_pair(workers, order, job, work)
@@ -131,19 +137,21 @@ def measure(workers: dict, workload: str, seed: int, rounds: int, work: Path) ->
                 mismatched += 1
                 print(f"outputs differ: {workload} seed {seed} round {r}, exit codes "
                       f"{res['old'][0]} / {res['new'][0]}", file=sys.stderr)
-            for side in times:
-                times[side].append(res[side][1])
-            faster += res["new"][1] < res["old"][1]
+            for side in spent:
+                spent[side] += res[side][1]
+        for side in times:
+            times[side].append(spent[side])
 
-    summary = {"workload": workload, "seed": seed, "jobs": k}
+    summary = {"workload": workload, "seed": seed, "rounds": rounds, "jobs": k}
     for side in times:
         q1, p50, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
-        summary.update({f"{side}_job_s_q1": q1, f"{side}_job_s_p50": p50,
-                        f"{side}_job_s_q3": q3})
+        summary.update({f"{side}_round_s_q1": q1, f"{side}_round_s_p50": p50,
+                        f"{side}_round_s_q3": q3})
     summary["p50_gap_exceeds_old_iqr"] = (
-        abs(summary["new_job_s_p50"] - summary["old_job_s_p50"])
-        > summary["old_job_s_q3"] - summary["old_job_s_q1"])
-    summary.update(new_faster_share=faster / k, outputs_differ=mismatched)
+        abs(summary["new_round_s_p50"] - summary["old_round_s_p50"])
+        > summary["old_round_s_q3"] - summary["old_round_s_q1"])
+    faster = sum(new < old for old, new in zip(times["old"], times["new"]))
+    summary.update(new_faster_share=faster / rounds, outputs_differ=mismatched)
     return summary
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIGS, make_surface
 from rmfruled.cli import load_config, main
@@ -10,8 +12,8 @@ from rmfruled.curve import CurveDef
 from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.invariants import BaseCurveReport, base_curve_report
-from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, samples_to_csv, tessellate,
-                              write_obj, write_report)
+from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, _face_tokens, _number_text,
+                              samples_to_csv, tessellate, write_obj, write_report)
 from rmfruled.record import fields
 from rmfruled.ruled import ClassificationReport, RuledSurface, classify
 
@@ -251,6 +253,74 @@ def test_obj_text_of_hand_built_mesh_equals_reference(flat_shaded):
     assert "v -0 4.94065646e-324 1e+300\n" in text
     assert "v 123456790 " in text  # the tie at 9 digits goes to even
     assert f"f {2 ** 31 + 8}" in text
+
+
+def _percent_text(table, digits, sep, prefix=""):
+    """Per-value loop: one ``%`` call per value, ``sep`` between values."""
+    return "".join(prefix + sep.join("%.*g" % (digits, x) for x in row) + "\n"
+                   for row in np.asarray(table).tolist())
+
+
+def _near_ties(digits):
+    """Doubles at, and up to 2 ulps either side of, the places where
+    ``%.<digits>g`` changes its rounding, its exponent or its notation."""
+    def around(x):
+        bits = int(np.float64(x).view(np.int64))
+        return st.builds(
+            lambda k, sign: sign * float(np.int64(bits + k).view(np.float64)),
+            st.integers(-2, 2), st.sampled_from([1.0, -1.0]))
+    mantissa = st.integers(10 ** (digits - 1), 10 ** digits - 1)
+    ties = st.builds(lambda m, k: (m + 0.5) * 10.0 ** k, mantissa,
+                     st.integers(-digits - 6, 6))
+    decade = st.integers(-323, 308).map(lambda k: float(10 ** k) if k >= 0 else 10.0 ** k)
+    below = st.builds(lambda k, j: 10.0 ** k * (1 - 5 * 10.0 ** -(digits + j)),
+                      st.integers(-30, 30), st.integers(0, 2))
+    switch = st.builds(lambda b, f: b * f,
+                       st.sampled_from([1e-4, 1e-5, 10.0 ** (digits - 1),
+                                        10.0 ** digits]),
+                       st.sampled_from([1.0, 1 - 5e-10, 1 - 5e-13, 1 + 5e-10, 0.5, 1.05]))
+    wide = st.floats(1e3, 1e15) | st.builds(lambda m, k: m / 10.0 ** k, mantissa,
+                                            st.integers(0, digits - 4))
+    special = st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, float("nan"), float("inf")])
+    subnormal = st.integers(1, 2 ** 52 - 1).map(lambda m: m * 5e-324)
+    return st.one_of([s.flatmap(around) for s in
+                      (ties, decade, below, switch, wide, special, subnormal)]
+                     + [st.floats()])
+
+
+@pytest.mark.parametrize("digits", [9, 12])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_number_text_equals_percent_on_near_ties(digits, data):
+    values = data.draw(st.lists(_near_ties(digits), min_size=1, max_size=45))
+    table = np.reshape(values + [0.0] * (-len(values) % 3), (-1, 3))
+    assert _number_text(table, digits, " ", "v ").decode() == _percent_text(
+        table, digits, " ", "v ")
+    assert _number_text(table.T, digits, ",").decode() == _percent_text(
+        table.T, digits, ",")
+
+
+@pytest.mark.parametrize("digits,x", [
+    (9, 0.01 * (1 - 5e-10)),  # a tie at the lower exponent only
+    (9, 0.0001 * (1 - 5e-10)),  # rounds up into fixed notation
+    (9, 999999999.5), (9, 123456789.5), (12, 999999999999.5), (12, 0.5e-4),
+    (9, 1e22), (9, 1e23), (12, 5e-324), (12, -1.7976931348623157e308),
+    (9, -0.0), (12, float("-nan")), (9, -float("inf")), (12, 123456789012.25)])
+def test_number_text_named_cases(digits, x):
+    table = np.array([[x, -x, 1.0]])
+    assert _number_text(table, digits, ",").decode() == _percent_text(table, digits, ",")
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_face_tokens_at_width_boundaries(flat):
+    numbers = np.array([1, 999, 1000, 999_999, 1_000_000, -999, -1000, 2 ** 40 + 1])
+    tokens = _face_tokens(numbers, flat)
+    form = " {0}" if flat else " {0}//{0}"
+    want = [form.format(i).encode() for i in numbers.tolist()]
+    width = max(map(len, want))
+    assert tokens.shape == (len(numbers), width)
+    assert [row.tobytes() for row in tokens] == [w.ljust(width, b"\0") for w in want]
 
 
 def test_tangent_ruling_mesh_is_flat_shaded_obj():
