@@ -171,15 +171,18 @@ def load_config(path: str) -> JobConfig:
     )
 
 
-def write_atomic(path: str, text: str):
-    """``text`` to ``path`` through a temp file in its directory and a rename;
-    an OS error is a ConfigError, and leaves no temp file behind."""
+def write_atomic(path: str, data: "bytes | str"):
+    """``data``, bytes or text (written as UTF-8), to ``path`` through a temp
+    file in its directory and a rename; an OS error is a ConfigError, and
+    leaves no temp file behind."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as err:
         if tmp is not None and os.path.exists(tmp):

@@ -170,11 +170,12 @@ def _check_speed(too_fast, d1: np.ndarray, t):
 
 
 def _speed(d1: np.ndarray, t):
-    """|r'|, NaN where it is at most EPS_REG (DegenerateTangent at a float)."""
+    """|r'|, NaN where it is NaN or at most EPS_REG (DegenerateTangent at a
+    float)."""
     # |r'|^2 overflows from about 1.3e154: check the largest component first.
     _check_speed(np.max(np.abs(d1), axis=-1) > MAX_SPEED, d1, t)
     speed = vec_norm(d1)
-    return _guard(speed, speed <= EPS_REG,
+    return _guard(speed, np.logical_not(speed > EPS_REG),
                   lambda: DegenerateTangent(f"|r'|={speed:.3e} at t={t}"))
 
 

@@ -8,10 +8,17 @@ functions sin, cos, tan, atan, sqrt, exp, log, abs.  The grammar is in
 
 Evaluation returns a :class:`Jet3` carrying the value and the first three
 derivatives with respect to ``s``, computed by truncated-Taylor arithmetic
-(no finite differencing).  Third order is enough for curve torsion, which
-needs the third derivative of the position.  ``s`` may be a float or a 1-D
-grid of parameters; on a grid every field of the jet is an array, and each
-element equals the jet evaluated at that parameter alone, bit for bit.
+(no finite differencing).  Two orders exist, and each caller asks for the one
+it reads.  Order 3 serves the curve (:func:`curve.eval_curve`): torsion needs
+the third derivative of the position.  Order 1 serves the director
+coefficients (``RuledSurface.coefficients``) and an explicit theta
+(``FrameField.theta_at``), which only X, X' and theta' read; its jet has d2 =
+d3 = None, and its value and d1 equal those of order 3 bit for bit, since
+forward mode never reads a higher derivative to make a lower one.  An
+expression that is C^1 but not C^3 at a sample therefore fails there at order
+3 only.  ``s`` may be a float or a 1-D grid of parameters; on a grid every
+field of the jet is an array, and each element equals the jet evaluated at
+that parameter alone, bit for bit.
 
 Exponents must be constant expressions (no ``s``); a non-integer exponent
 additionally requires a positive base.
@@ -76,7 +83,8 @@ class ExprDomainError(ExprError):
 
 class Jet3(Record):
     """Value and derivatives of orders 1..3 of a scalar function at a point,
-    or (fields as arrays) at each point of a grid."""
+    or (fields as arrays) at each point of a grid.  A jet of order 1 has
+    ``d2 = d3 = None``, and arithmetic with one gives a jet of order 1."""
 
     __slots__ = ("value", "d1", "d2", "d3")
 
@@ -91,20 +99,28 @@ class Jet3(Record):
 
     def __add__(self, other):
         o = _as_jet(other)
+        if self.d2 is None or o.d2 is None:
+            return Jet3(self.value + o.value, self.d1 + o.d1, None, None)
         return Jet3(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.d2 is None:
+            return Jet3(-self.value, -self.d1, None, None)
         return Jet3(-self.value, -self.d1, -self.d2, -self.d3)
 
     def __sub__(self, other):
         o = _as_jet(other)
+        if self.d2 is None or o.d2 is None:
+            return Jet3(self.value - o.value, self.d1 - o.d1, None, None)
         return Jet3(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
 
     def __mul__(self, other):
         o = _as_jet(other)
         a, b = self, o
+        if a.d2 is None or b.d2 is None:
+            return Jet3(a.value * b.value, a.d1 * b.value + a.value * b.d1, None, None)
         return Jet3(
             a.value * b.value,
             a.d1 * b.value + a.value * b.d1,
@@ -121,8 +137,12 @@ def _as_jet(x) -> Jet3:
     return Jet3(float(x))
 
 
-def compose(g: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
-    """Chain rule for f(g) given the derivatives of f at g.value."""
+def compose(g: Jet3, f0, f1, higher) -> Jet3:
+    """Chain rule for f(g) given f and f' at g.value; ``higher()`` returns
+    f'' and f''' there, and is called only when ``g`` is of order 3."""
+    if g.d2 is None:
+        return Jet3(f0, f1 * g.d1, None, None)
+    f2, f3 = higher()
     return Jet3(
         f0,
         f1 * g.d1,
@@ -133,8 +153,11 @@ def compose(g: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
 
 def _reciprocal(g: Jet3) -> Jet3:
     x = g.value
-    return compose(g, 1.0 / x, -1.0 / power(x, 2), 2.0 / power(x, 3),
-                   -6.0 / power(x, 4))
+    sq = power(x, 2)
+    if isinstance(x, np.ndarray):  # NaN, not -1/inf = -0, where the float x^2 raises
+        sq[(sq == math.inf) & np.isfinite(x)] = math.nan
+    return compose(g, 1.0 / x, -1.0 / sq,
+                   lambda: (2.0 / power(x, 3), -6.0 / power(x, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +238,8 @@ def _stacked(fn, grids, axis=0) -> list:
 
 
 def _cut(value, cut):
+    if value is None:  # d2 and d3 of a jet of order 1
+        return None
     if isinstance(value, np.ndarray):
         return value[cut]
     if isinstance(value, tuple):
@@ -453,7 +478,7 @@ def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
     zero = x == 0.0
     fs = []
     coef = 1.0
-    for k in range(4):
+    for k in range(2 if g.d2 is None else 4):
         if k:
             coef *= p - (k - 1)
         if coef == 0.0:
@@ -468,50 +493,53 @@ def _falling_pow(g: Jet3, p: float, node: Expr) -> Jet3:
             f = (np.where(zero, at_zero, f) if isinstance(x, np.ndarray)
                  else at_zero if zero else f)
         fs.append(f)
-    return compose(g, *fs)
+    return compose(g, fs[0], fs[1], lambda: fs[2:])
 
 
 def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
     x = g.value
     if name == "sin":
         s, c = _apply(math.sin, x), _apply(math.cos, x)
-        return compose(g, s, c, -s, -c)
+        return compose(g, s, c, lambda: (-s, -c))
     if name == "cos":
         s, c = _apply(math.sin, x), _apply(math.cos, x)
-        return compose(g, c, -s, -c, s)
+        return compose(g, c, -s, lambda: (-c, s))
     if name == "tan":
         t = _apply(math.tan, x)
         sec2 = 1.0 + t * t
-        return compose(g, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
+        return compose(g, t, sec2,
+                       lambda: (2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t)))
     if name == "atan":
         d = 1.0 + x * x
-        return compose(g, _apply(math.atan, x), 1.0 / d, -2.0 * x / power(d, 2),
-                       (6.0 * x * x - 2.0) / power(d, 3))
+        return compose(g, _apply(math.atan, x), 1.0 / d,
+                       lambda: (-2.0 * x / power(d, 2), (6.0 * x * x - 2.0) / power(d, 3)))
     if name == "sqrt":
         if _on_float(x <= 0.0):
             raise ExprDomainError("sqrt needs a positive argument for differentiation",
                                   node)
         r = _apply(math.sqrt, x)
-        return compose(g, r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r))
+        return compose(g, r, 0.5 / r, lambda: (-0.25 / (x * r), 0.375 / (x * x * r)))
     if name == "exp":
         v = _apply(math.exp, x)
-        return compose(g, v, v, v, v)
+        return compose(g, v, v, lambda: (v, v))
     if name == "log":
         if _on_float(x <= 0.0):
             raise ExprDomainError("log of a non-positive value", node)
         v = _apply(math.log, x)
         if isinstance(x, np.ndarray):  # NaN wherever the log is: x^0 drops a NaN
             x = np.where(np.isnan(v), np.nan, x)
-        return compose(g, v, 1.0 / x, -1.0 / power(x, 2), 2.0 / power(x, 3))
+        return compose(g, v, 1.0 / x, lambda: (-1.0 / power(x, 2), 2.0 / power(x, 3)))
     if name == "abs":
         sgn = 1.0 * (x > 0) - 1.0 * (x < 0)
-        return compose(g, abs(x), sgn, 0.0, 0.0)
+        return compose(g, abs(x), sgn, lambda: (0.0, 0.0))
     raise ExprDomainError(f"unknown function {name}", node)
 
 
-def eval_jet(e: "Expr | str", s) -> Jet3:
+def eval_jet(e: "Expr | str", s, order: int = 3) -> Jet3:
     """Evaluate an expression (tree or source text) with derivatives at ``s``,
     a float or a 1-D numpy array (then every field of the jet is an array).
+    ``order`` is 3, or 1 for a jet without d2 and d3 (both None), which skips
+    their arithmetic and so fails only where the value or d1 does.
 
     A float raises :class:`ExprDomainError` where the expression is undefined
     or leaves the float range of ``math``; a grid does not raise, and its row
@@ -520,35 +548,40 @@ def eval_jet(e: "Expr | str", s) -> Jet3:
     if isinstance(e, str):
         e = parse(e)
     if isinstance(s, np.ndarray):
-        return _eval_grid(e, s.astype(float))
+        return _eval_grid(e, s.astype(float), order)
     try:
-        return _eval(e, Jet3(float(s), 1.0))
+        return _eval(e, Jet3(float(s), 1.0, *_HIGHER[order]))
     except (ArithmeticError, ValueError) as err:  # math range and domain errors
         raise ExprDomainError(f"{err} at s={s}") from err
 
 
-def _eval_grid(e: Expr, grid: np.ndarray) -> Jet3:
+# d2 and d3 of the jet of s itself, by order
+_HIGHER = {3: (0.0, 0.0), 1: (None, None)}
+
+
+def _eval_grid(e: Expr, grid: np.ndarray, order: int) -> Jet3:
     # With numpy's errors ignored, a row holds inf or NaN where the float call
     # raises (and where it overflows without raising: the float path tells them
     # apart).  A subexpression without ``s`` raises here, failing every row.
-    fields = np.full((4,) + grid.shape, np.nan)
+    fields = np.full((order + 1,) + grid.shape, np.nan)  # value, d1[, d2, d3]
     try:
         with np.errstate(all="ignore"):
-            j = _eval(e, Jet3(grid, 1.0))
+            j = _eval(e, Jet3(grid, 1.0, *_HIGHER[order]))
     except (ExprError, ArithmeticError, ValueError):
-        return Jet3(*fields)
-    fields[0], fields[1], fields[2], fields[3] = j.value, j.d1, j.d2, j.d3
-    ok, _ = _float_path(lambda t: eval_jet(e, t), grid, fields.T, ExprError)
+        return Jet3(*fields, *(None,) * (3 - order))
+    for row, f in zip(fields, (j.value, j.d1, j.d2, j.d3)):
+        row[...] = f
+    ok, _ = _float_path(lambda t: eval_jet(e, t, order), grid, fields.T, ExprError)
     fields[:, ~ok] = np.nan
-    return Jet3(*fields)
+    return Jet3(*fields, *(None,) * (3 - order))
 
 
 def _eval(e: Expr, sj: Jet3) -> Jet3:
     match e:
-        case Num(v):
-            return Jet3(float(v))
+        case Num(v):  # a constant's d2 and d3 are those of s: 0, or None at order 1
+            return Jet3(float(v), 0.0, sj.d2, sj.d3)
         case Pi():
-            return Jet3(math.pi)
+            return Jet3(math.pi, 0.0, sj.d2, sj.d3)
         case Var():
             return sj
         case Neg(operand):

@@ -320,7 +320,7 @@ class FrameField:
         holds the rates at the panel midpoints (NaN if flat), None unless RMF.
         A non-finite explicit theta or theta' is NaN (ExprDomainError at a float)."""
         if not self.is_rmf:
-            j = ex.eval_jet(self.policy.theta, t)
+            j = ex.eval_jet(self.policy.theta, t, 1)
             bad = ~(np.isfinite(j.value) & np.isfinite(j.d1))
             return tuple(_guard(x, bad, lambda: ex.ExprDomainError(
                 f"theta={j.value}, theta'={j.d1} is not finite at s={t}"))

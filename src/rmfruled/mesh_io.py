@@ -8,7 +8,7 @@ kernel, byte for byte as ``"%.9g"`` (OBJ) and ``"%.12g"`` (CSV) write them:
 :func:`_decimal` rounds each value to its digits and sends only the proven
 near-ties to ``%``, and :func:`_number_text` writes a whole block from a
 table of 3-digit cells.  OBJ face rows are taken from one token per vertex
-(:func:`_face_tokens`).
+(:func:`_face_tokens`), and the OBJ stays bytes from the kernel to the file.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     """Uniform-grid tessellation; each quad splits along its shorter diagonal.
 
     Points and normals are one grid call each; a zero director at every grid
-    node raises :class:`ZeroDirector`, a normal is missing only where the
-    partials degenerate, and a triangle is wound counterclockwise about the
-    mean of its vertices' normals, missing normals left out of the mean.
+    node raises :class:`ZeroDirector`, and a normal is missing only where the
+    partials degenerate.  Faces and their winding come from slices of the
+    (n_s, n_v) grids (:func:`_faces`).
     """
     if n_s < 2 or n_v < 2:
         raise ValueError("n_s and n_v must be >= 2")
@@ -55,31 +55,54 @@ def tessellate(surface: RuledSurface, n_s: int, n_v: int) -> Mesh:
     verts = surface.point(s_vals, v_vals).swapaxes(0, 1)
     ex._float_path(lambda s: surface.point(s, v_vals), s_vals, verts, (), "point")
     _director_scale(surface._row(s_vals)[0])
-    verts = verts.reshape(-1, 3)
     norms, degenerate = surface._normal(s_vals, v_vals)
     if np.isnan(norms).any():  # the float call decides where no partials degenerate
         for v, bad in zip(v_vals.tolist(), np.isnan(norms[..., 0]) & ~degenerate):
             ex._float_path(lambda s: surface.normal(s, v), s_vals,
                            np.where(bad, np.nan, 0.0), (), "normal")
+    verts = verts.reshape(-1, 3)
     norms = norms.swapaxes(0, 1).reshape(-1, 3)
+    return Mesh(verts, norms, _faces(verts, norms, n_v), bool(np.isnan(norms[:, 0]).any()))
 
-    grid = np.arange(n_s * n_v).reshape(n_s, n_v)
-    a, b = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()
-    c, d = grid[:-1, 1:].ravel(), grid[1:, 1:].ravel()
-    split_ad = vec_norm(verts[a] - verts[d]) <= vec_norm(verts[b] - verts[c])
-    first = np.where(split_ad[:, None], np.stack([a, b, d], 1), np.stack([a, b, c], 1))
-    second = np.where(split_ad[:, None], np.stack([a, d, c], 1), np.stack([b, d, c], 1))
-    faces = np.stack([first, second], 1).reshape(-1, 3)
 
+def _faces(verts: np.ndarray, norms: np.ndarray, n_v: int) -> np.ndarray:
+    """The faces of the (n, 3) vertex and normal rows (NaN where missing) of
+    a row-major grid of n_v columns.  The quad of corners a = (i, j), b =
+    (i+1, j), c = (i, j+1), d = (i+1, j+1) splits into (a, b, d) and (a, d, c)
+    where |a - d| <= |b - c|, else into (a, b, c) and (b, d, c); each triangle
+    is wound counterclockwise about the mean of its vertices' normals, missing
+    ones left out of the mean.
+
+    Every corner is a slice of the rows, so that no face index is gathered:
+    quad q = i n_v + j has a at row q, b at q + n_v, c at q + 1 and d at
+    q + n_v + 1.  The quads with j = n_v - 1 wrap around a row of the grid;
+    they are computed with the others and dropped at the end."""
+    m = len(verts) - n_v - 1  # quads q = 0 .. m - 1
     missing = np.isnan(norms[:, 0])
-    corner = np.where(missing[faces][:, :, None], 0.0, norms[faces])
-    total = (corner[:, 0] + corner[:, 1]) + corner[:, 2]  # np.mean's order
-    mean = total / np.maximum(3 - missing[faces].sum(axis=1), 1)[:, None]
-    p0, p1, p2 = (verts[faces[:, k]] for k in range(3))
-    flip = vec_dot(vec_cross(p1 - p0, p2 - p0), mean) < 0.0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
+    rows = (verts, np.where(missing[:, None], 0.0, norms), 1 - missing)
+    split = (vec_norm(verts[:m] - verts[n_v + 1:])
+             <= vec_norm(verts[n_v:n_v + m] - verts[1:1 + m]))
 
-    return Mesh(verts, norms, faces, bool(missing.any()))
+    def corner(at_split, other):
+        """(point, normal or 0, 1 if the normal is known, vertex number) of
+        the corner at row q + ``at_split`` of a quad that splits along a-d,
+        and at q + ``other`` of one that does not."""
+        x, y = slice(at_split, at_split + m), slice(other, other + m)
+        if at_split == other:
+            return (*(r[x] for r in rows), np.arange(at_split, at_split + m))
+        return (*(np.where(split if r.ndim == 1 else split[:, None], r[x], r[y])
+                  for r in rows), np.arange(m) + np.where(split, at_split, other))
+
+    faces = np.empty((m + 1, 2, 3), np.int64)
+    a, b, c, d = 0, n_v, 1, n_v + 1  # the corners' row offsets
+    triangles = ((corner(a, a), corner(b, b), corner(d, c)),
+                 (corner(a, b), corner(d, d), corner(c, c)))
+    for t, ((p0, n0, k0, i0), (p1, n1, k1, i1), (p2, n2, k2, i2)) in enumerate(triangles):
+        mean = ((n0 + n1) + n2) / np.maximum((k0 + k1) + k2, 1)[:, None]  # np.mean's order
+        flip = vec_dot(vec_cross(p1 - p0, p2 - p0), mean) < 0.0
+        faces[:m, t, 0], faces[:m, t, 1], faces[:m, t, 2] = (
+            i0, np.where(flip, i2, i1), np.where(flip, i1, i2))
+    return faces.reshape(-1, n_v, 2, 3)[:, :-1].reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +334,14 @@ def _face_tokens(numbers, flat: bool):
     return tokens
 
 
-def write_obj(mesh: Mesh) -> str:
-    """Deterministic OBJ text; vn/`//` indices only when all normals exist.
-    Each vertex's face token is formatted once, and the face rows are taken
-    from the tokens of their vertices (an index with no vertex is formatted
-    as it is)."""
-    text = [_number_text(mesh.vertices, 9, " ", "v ").decode("ascii")]
+def write_obj(mesh: Mesh) -> bytes:
+    """Deterministic OBJ text, as ASCII bytes; vn/`//` indices only when all
+    normals exist.  Each vertex's face token is formatted once, and the face
+    rows are taken from the tokens of their vertices (an index with no vertex
+    is formatted as it is)."""
+    text = [_number_text(mesh.vertices, 9, " ", "v ")]
     if not mesh.flat_shaded:
-        text.append(_number_text(mesh.normals, 9, " ", "vn ").decode("ascii"))
+        text.append(_number_text(mesh.normals, 9, " ", "vn "))
     n, faces = len(mesh.vertices), np.asarray(mesh.faces, dtype=np.int64)
     numbers = np.arange(1, n + 1)
     outside = (faces < 0) | (faces >= n)
@@ -330,8 +353,8 @@ def write_obj(mesh: Mesh) -> str:
     rows = np.empty((len(faces), 2 + 3 * tokens.shape[1]), np.uint8)
     rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
     rows[:, 1:-1] = tokens.take(faces, axis=0).reshape(rows[:, 1:-1].shape)
-    text.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+    text.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(text)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,9 @@ class RuledSurface:
         return self._frame_at(s)
 
     def coefficients(self, s):
+        """Jets of x1, x2, x3 of order 1: X and X' read no higher derivative."""
         d = self.sdef.director
-        return (ex.eval_jet(d.x1, s), ex.eval_jet(d.x2, s), ex.eval_jet(d.x3, s))
+        return tuple(ex.eval_jet(x, s, 1) for x in (d.x1, d.x2, d.x3))
 
     def _director_row(self, s):
         """(coefficient jets, X, X' per arc length) at s, cached as ``_row``: the

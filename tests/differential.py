@@ -14,8 +14,15 @@ where a verdict or a mesh rests on it (a ``classify`` JSON ``max_abs_det``,
 ``max_interior_abs_K`` or corollary residual, a ``verify`` check's
 ``max_abs``, an OBJ ``v`` row, or a ``vn`` row whose length is not 1).
 
-Compare two versions of the package by running the same seed and count on
-each checkout, then diffing the tables:
+Compare this checkout with another one in one command:
+
+    python tests/differential.py compare --old /path/to/other/checkout \
+        [--configs 1000] [--seed 0]
+
+``compare`` runs the other checkout's package (``PYTHONPATH=<old>/src``) in a
+subprocess and this checkout's in this process, each on the configs drawn
+here, then diffs the two tables.  The same can be done by hand, running the
+same seed and count on each checkout and diffing the tables:
 
     PYTHONPATH=src python tests/differential.py run --configs 1000 --out new.json
     (in the other checkout)
@@ -36,6 +43,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -187,18 +195,34 @@ def cmd_diff(args) -> int:
     return 1 if hard or bad else 0
 
 
+def cmd_compare(args) -> int:
+    here = Path(__file__).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp) / "old.json", Path(tmp) / "new.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(args.old).resolve() / "src")}
+        subprocess.run([sys.executable, str(here), "run", "--configs", str(args.configs),
+                        "--seed", str(args.seed), "--out", str(old)], env=env, check=True)
+        sys.path.insert(0, str(here.parents[1] / "src"))
+        cmd_run(argparse.Namespace(configs=args.configs, seed=args.seed, out=new))
+        return cmd_diff(argparse.Namespace(old=old, new=new))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the configs and write the table")
-    run.add_argument("--configs", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", required=True)
     diff = sub.add_parser("diff", help="compare two tables")
     diff.add_argument("old")
     diff.add_argument("new")
+    compare = sub.add_parser("compare", help="run the configs on another checkout "
+                             "and on this one, and diff the tables")
+    compare.add_argument("--old", required=True, help="root of the other checkout")
+    for sp in (run, compare):
+        sp.add_argument("--configs", type=int, default=1000)
+        sp.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    return cmd_run(args) if args.command == "run" else cmd_diff(args)
+    return {"run": cmd_run, "diff": cmd_diff, "compare": cmd_compare}[args.command](args)
 
 
 if __name__ == "__main__":

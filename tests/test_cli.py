@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import CONFIGS
-from rmfruled import ruled
+from rmfruled import frame, ruled
 from rmfruled.cli import load_config, main
 from test_golden import _run
 
@@ -249,6 +249,47 @@ def _assert_too_fast(tmp_path, capsys, command, theta, speed):
     assert capsys.readouterr().err == (
         f"E_GEOMETRY: |r'|^3 overflows: |r'|={float(speed):.3e} at t=0.0\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+def test_nan_speed_is_a_missing_tangent_bridged_once(tmp_path, capsys, monkeypatch,
+                                                    command):
+    # inf * 0 makes y NaN at every sample without a DSL error, so |r'| is NaN:
+    # a missing tangent, which the RMF angle table's first bridge, from the
+    # first node to the next, reports; as vanishing curvature it would try a
+    # bridge from the first node to each of the 2048 later ones
+    bridges = []
+    bridge = frame._theta_across_flat
+    monkeypatch.setattr(frame, "_theta_across_flat",
+                        lambda *args: bridges.append(args) or bridge(*args))
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"]["y"] = "3/5*sin(s) + 1e200*1e200*0*s^4"
+    doc["theta"] = {"mode": "rmf", "theta0": 0}
+    cfg, out = tmp_path / "c.json", tmp_path / "r.out"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "E_GEOMETRY: |r'|=nan at t=-5.0\n"
+    assert len(bridges) == 1 and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command,code,err", [
+    ("surface", 0, ""), ("verify", 0, ""),
+    ("classify", 3, "E_GEOMETRY: negative base with non-integer exponent in 's^1.5'\n"),
+])
+def test_director_that_is_c1_but_not_c3_at_a_node(tmp_path, capsys, command, code, err):
+    # x1 = s^1.5 on [0, 1]: X and X' exist at s = 0, where x1'' does not; the
+    # director is evaluated to first order, so only classify's K stencil,
+    # which reaches s = -h, fails
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"]["s_range"] = [0, 1]
+    doc["director"]["x1"] = "s^1.5"
+    cfg, out = tmp_path / "c.json", tmp_path / "r.out"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line

@@ -226,14 +226,14 @@ def test_overflowing_binormal_norm_is_nan_on_a_grid_and_raises_at_a_float():
 
 
 def test_nan_kappa_is_nan_on_a_grid_and_raises_at_a_float():
-    # inf * 0 is NaN without a DSL error: the curve, and so kappa, is NaN at
-    # every sample, which a float call counts as vanishing curvature (the RMF
-    # angle table's bridges rely on it to end in a located error)
+    # inf * 0 is NaN without a DSL error: the curve, and so |r'| and kappa,
+    # is NaN at every sample, which a float call reports as a missing tangent
     c = CurveDef.from_strings("s", "s^2 + 1e200*1e200*0*s^4", "s^3", -1, 1)
     with np.errstate(all="ignore"):
         fd = frenet(c, np.linspace(-1.0, 1.0, 5))
         assert np.isnan(fd.kappa).all() and np.isnan(fd.B).all()
-        with pytest.raises(VanishingCurvature, match="^kappa=nan at t=0.5$"):
+        assert np.isnan(fd.speed).all() and np.isnan(fd.T).all()
+        with pytest.raises(DegenerateTangent, match="^\\|r'\\|=nan at t=0.5$"):
             frenet(c, 0.5)
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from differential import BAD_COEFFS, BAD_THETAS, COEFFS, THETAS
 from rmfruled import expr as ex
+from test_fuzz import _DSL_POOL, _dsl
 
 
 def test_parse_single_power():
@@ -197,19 +199,21 @@ def test_jet_near_branch_point_matches_closed_form():
 
 
 def _bits(j):
-    return [np.asarray(f, dtype=float).tobytes() for f in (j.value, j.d1, j.d2, j.d3)]
+    """The bytes of each field of a jet, d2 and d3 left out at order 1."""
+    return [np.asarray(f, dtype=float).tobytes() for f in (j.value, j.d1, j.d2, j.d3)
+            if f is not None]
 
 
-def _assert_grid_matches_points(e, grid):
+def _assert_grid_matches_points(e, grid, order=3):
     """Each grid row is NaN in every field exactly where the float evaluation
     raises, and equal to it bit for bit elsewhere.  Returns the rows that are
     NaN."""
-    jg = ex.eval_jet(e, grid)
+    jg = ex.eval_jet(e, grid, order)
     failed = []
     for k, s in enumerate(grid.tolist()):
-        row = [f[k] for f in (jg.value, jg.d1, jg.d2, jg.d3)]
+        row = [f[k] for f in (jg.value, jg.d1, jg.d2, jg.d3) if f is not None]
         try:
-            jp = ex.eval_jet(e, s)
+            jp = ex.eval_jet(e, s, order)
         except ex.ExprDomainError:
             assert np.isnan(row).all(), (e, s)
             failed.append(k)
@@ -250,7 +254,7 @@ _FAILING_ROWS = {
     "s^0.5": range(6), "exp(s)": range(1, 11), "tan(1/s)": [5], "sin(1/s)": [5],
     "atan(1/s)": [5], "log(s)^0": range(6), "(1/s)^0": [5],
     "exp(1000)*s": range(11), "s+1/0": range(11), "0^-1": range(11),
-    "s^(2^3^4^5)": range(11),
+    "s^(2^3^4^5)": range(11), "1/(1e200+s)": range(11),
 }
 
 
@@ -260,6 +264,7 @@ _FAILING_ROWS = {
     ("tan(1/s)", -1.0, 1.0), ("sin(1/s)", -1.0, 1.0), ("atan(1/s)", -1.0, 1.0),
     ("log(s)^0", -1.0, 1.0), ("(1/s)^0", -1.0, 1.0), ("exp(1000)*s", -1.0, 1.0),
     ("s+1/0", -1.0, 1.0), ("0^-1", -1.0, 1.0), ("s^(2^3^4^5)", -1.0, 1.0),
+    ("1/(1e200+s)", -1.0, 1.0),  # x^2 overflows, though -1/x^2 would not
 ])
 def test_grid_domain_error_on_some_nodes(text, lo, hi):
     failed = _assert_grid_matches_points(ex.parse(text), np.linspace(lo, hi, 11))
@@ -287,3 +292,67 @@ def test_power_on_an_array_rounds_as_float_power(p):
             assert math.isinf(g), (x, p)
             continue
         assert np.float64(g).tobytes() == np.float64(want).tobytes(), (x, p)
+
+
+# ---------------------------------------------------------------------------
+# jets of order 1
+
+_ORDER_1_GRID = np.r_[np.linspace(-2.0, 2.0, 41), -0.0, 1e-300, 700.0, 800.0]
+
+
+def _assert_order_1_is_order_3_cut_short(text):
+    """At order 1, d2 and d3 are None, and the value and d1 equal order 3's
+    bit for bit, at floats and on a grid, wherever order 3 does not raise;
+    the order-1 grid keeps the float path of order-1 float calls."""
+    try:
+        e = ex.parse(text)
+    except (ex.ExprSyntaxError, RecursionError):
+        return
+    grid1, grid3 = ex.eval_jet(e, _ORDER_1_GRID, 1), ex.eval_jet(e, _ORDER_1_GRID)
+    assert grid1.d2 is None and grid1.d3 is None
+    for k, s in enumerate(_ORDER_1_GRID.tolist()):
+        try:
+            want = _bits(ex.eval_jet(e, s))[:2]
+        except ex.ExprDomainError:
+            continue
+        point = ex.eval_jet(e, s, 1)
+        assert point.d2 is None and point.d3 is None
+        assert _bits(point) == want, (text, s)
+        assert _bits(ex.Jet3(grid1.value[k], grid1.d1[k], None, None)) == want, (text, s)
+        assert _bits(ex.Jet3(grid3.value[k], grid3.d1[k], None, None)) == want, (text, s)
+    _assert_grid_matches_points(e, _ORDER_1_GRID, order=1)
+
+
+@pytest.mark.parametrize("text", sorted(set(_DSL_POOL + COEFFS + BAD_COEFFS
+                                            + THETAS + BAD_THETAS)))
+def test_order_1_is_order_3_cut_short_on_the_pools(text):
+    _assert_order_1_is_order_3_cut_short(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dsl())
+def test_order_1_is_order_3_cut_short_on_generated_dsl(text):
+    if isinstance(text, str):
+        _assert_order_1_is_order_3_cut_short(text)
+
+
+def test_order_1_reaches_a_point_where_d2_is_not_finite():
+    # s^1.5 is C^1 at 0, where its d2 takes 0^-0.5
+    with pytest.raises(ex.ExprDomainError, match="zero base with negative exponent"):
+        ex.eval_jet("s^1.5", 0.0)
+    assert ex.eval_jet("s^1.5", 0.0, 1) == ex.Jet3(0.0, 0.0, None, None)
+    grid = ex.eval_jet("s^1.5", np.array([0.0, 1.0]), 1)
+    assert grid.value.tolist() == [0.0, 1.0] and grid.d1.tolist() == [0.0, 1.5]
+    # a row that is not finite is probed by a float call of order 1
+    grid = ex.eval_jet("s^1.5 + 1e308*10", np.array([0.0, 1.0]), 1)
+    assert grid.value.tolist() == [math.inf] * 2 and grid.d1.tolist() == [0.0, 1.5]
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    *((text, -1.0, 1.0) for text in sorted(_FAILING_ROWS) if text != "exp(s)"),
+    ("exp(s)", 700.0, 800.0), ("s/exp(s)", 350.0, 360.0)])
+def test_grid_of_order_1_fails_where_its_float_calls_do(text, lo, hi):
+    # exp(s)^2 overflows from s = 354.9: -1/exp(s)^2 is -0 on the grid, while
+    # the float call raises
+    failed = _assert_grid_matches_points(ex.parse(text), np.linspace(lo, hi, 11), 1)
+    assert failed == list(_FAILING_ROWS.get(text, range(5, 11)))

@@ -377,9 +377,9 @@ def test_verify_work_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     calls = []
     eval_jet = expr.eval_jet
 
-    def counting(e, s):
+    def counting(e, s, *args):
         calls.append(s)
-        return eval_jet(e, s)
+        return eval_jet(e, s, *args)
 
     monkeypatch.setattr(expr, "eval_jet", counting)
     counts = []

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, make_surface
 from rmfruled.cli import load_config, main
-from rmfruled.curve import CurveDef
+from rmfruled.curve import CurveDef, vec_cross, vec_dot, vec_norm
 from rmfruled.errors import GeometryError
 from rmfruled.frame import ExplicitTheta, RotationMinimizing
 from rmfruled.invariants import BaseCurveReport, base_curve_report
-from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, _face_tokens, _number_text,
+from rmfruled.mesh_io import (CSV_COLUMNS, Mesh, _face_tokens, _faces, _number_text,
                               samples_to_csv, tessellate, write_obj, write_report)
 from rmfruled.record import fields
 from rmfruled.ruled import ClassificationReport, RuledSurface, classify
@@ -105,7 +105,7 @@ def test_faces_ccw_wrt_normals(strip):
 
 def test_obj_single_triangle_counts(strip):
     mesh = tessellate(strip, 2, 2)
-    text = write_obj(mesh)
+    text = write_obj(mesh).decode()
     lines = text.splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 4
     assert sum(1 for l in lines if l.startswith("vn ")) == 4
@@ -115,7 +115,7 @@ def test_obj_single_triangle_counts(strip):
 def test_obj_write_parse_write_idempotent(rmf_polynomial):
     mesh = tessellate(rmf_polynomial, 9, 5)
     text = write_obj(mesh)
-    assert write_obj(read_obj(text)) == text
+    assert write_obj(read_obj(text.decode())) == text
 
 
 def test_obj_deterministic(geodesic_example):
@@ -125,25 +125,77 @@ def test_obj_deterministic(geodesic_example):
 
 
 def _reference_faces(verts, normals, n_s, n_v):
-    """Per-quad loop: split along the shorter diagonal, then wind each
-    triangle counterclockwise about the mean of its known vertex normals."""
-    faces = []
-    for i in range(n_s - 1):
-        for j in range(n_v - 1):
-            a, b = i * n_v + j, (i + 1) * n_v + j
-            c, d = i * n_v + j + 1, (i + 1) * n_v + j + 1
-            if np.linalg.norm(verts[a] - verts[d]) <= np.linalg.norm(verts[b] - verts[c]):
-                tris = ((a, b, d), (a, d, c))
-            else:
-                tris = ((a, b, c), (b, d, c))
-            for tri in tris:
-                ref = [normals[k] for k in tri if not np.isnan(normals[k]).any()]
-                if ref:
-                    p, q, r = (verts[k] for k in tri)
-                    if float(np.dot(np.cross(q - p, r - p), np.mean(ref, axis=0))) < 0.0:
-                        tri = (tri[0], tri[2], tri[1])
-                faces.append(tri)
-    return np.array(faces, dtype=int)
+    """Faces by gathering the rows of each face's vertices: split each quad
+    along its shorter diagonal, then wind each triangle counterclockwise about
+    the mean of its known vertex normals."""
+    grid = np.arange(n_s * n_v).reshape(n_s, n_v)
+    a, b = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()
+    c, d = grid[:-1, 1:].ravel(), grid[1:, 1:].ravel()
+    split_ad = vec_norm(verts[a] - verts[d]) <= vec_norm(verts[b] - verts[c])
+    first = np.where(split_ad[:, None], np.stack([a, b, d], 1), np.stack([a, b, c], 1))
+    second = np.where(split_ad[:, None], np.stack([a, d, c], 1), np.stack([b, d, c], 1))
+    faces = np.stack([first, second], 1).reshape(-1, 3)
+    missing = np.isnan(normals[:, 0])
+    corner = np.where(missing[faces][:, :, None], 0.0, normals[faces])
+    total = (corner[:, 0] + corner[:, 1]) + corner[:, 2]  # np.mean's order
+    mean = total / np.maximum(3 - missing[faces].sum(axis=1), 1)[:, None]
+    p0, p1, p2 = (verts[faces[:, k]] for k in range(3))
+    flip = vec_dot(vec_cross(p1 - p0, p2 - p0), mean) < 0.0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return faces
+
+
+def _noisy_grid(rng, n_s, n_v, noise, nan_share, repeat_share):
+    """(vertices, normals) rows of a unit-spaced n_s x n_v grid in the plane
+    z = 0 moved by ``noise`` in each coordinate, with random normals, a
+    ``nan_share`` of them NaN rows, and a ``repeat_share`` of the vertices
+    equal to the vertex before them."""
+    i, j = np.meshgrid(np.arange(n_s), np.arange(n_v), indexing="ij")
+    verts = np.stack([i, j, np.zeros_like(i)], -1).reshape(-1, 3).astype(float)
+    verts += noise * rng.normal(size=verts.shape)
+    repeat = np.flatnonzero(rng.random(len(verts)) < repeat_share)
+    verts[repeat[repeat > 0]] = verts[repeat[repeat > 0] - 1]
+    normals = rng.normal(size=verts.shape)
+    normals[rng.random(len(verts)) < nan_share] = np.nan
+    return verts, normals
+
+
+def _splits_and_flips(faces, n_v):
+    """(quads split along a-d, quads split along b-c, first triangles wound
+    (a, b, .), first triangles wound (a, ., b))."""
+    first = faces[::2]
+    a = first[:, 0]
+    along_ad = int(np.sum(np.any(first == (a + n_v + 1)[:, None], axis=1)))  # holds d
+    kept = int(np.sum(first[:, 1] == a + n_v))  # b second
+    return along_ad, len(first) - along_ad, kept, len(first) - kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_s=st.integers(2, 40), n_v=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([0.0, 1e-9, 0.05, 0.4]),
+       nan_share=st.sampled_from([0.0, 0.1, 1.0]), repeat_share=st.sampled_from([0.0, 0.1]))
+def test_faces_from_slices_equal_gathered_faces(n_s, n_v, seed, noise, nan_share,
+                                                repeat_share):
+    verts, normals = _noisy_grid(np.random.default_rng(seed), n_s, n_v, noise,
+                                 nan_share, repeat_share)
+    assert np.array_equal(_faces(verts, normals, n_v),
+                          _reference_faces(verts, normals, n_s, n_v))
+
+
+@pytest.mark.parametrize("nan_share", [0.0, 0.1])
+def test_noisy_grids_split_and_flip_both_ways(nan_share):
+    # the noise of the test above is large enough for both diagonals and both windings
+    verts, normals = _noisy_grid(np.random.default_rng(3), 30, 30, 0.05, nan_share, 0.0)
+    faces = _faces(verts, normals, 30)
+    assert np.array_equal(faces, _reference_faces(verts, normals, 30, 30))
+    assert min(_splits_and_flips(faces, 30)) > 100
+
+
+def test_faces_without_any_normal_keep_their_winding():
+    verts, normals = _noisy_grid(np.random.default_rng(4), 12, 9, 0.4, 1.0, 0.1)
+    faces = _faces(verts, normals, 9)
+    assert np.array_equal(faces, _reference_faces(verts, normals, 12, 9))
+    assert _splits_and_flips(faces, 9)[3] == 0
 
 
 CONFIG_NAMES = ("example1", "example2", "planar_cos_zero", "planar_sin_zero",
@@ -222,7 +274,7 @@ def _reference_frames(surface, n_s):
 def test_obj_text_equals_per_value_reference(name, n_s, n_v):
     surface = RuledSurface(load_config(str(CONFIGS / f"{name}.json")).surface)
     mesh = tessellate(surface, n_s, n_v)
-    assert write_obj(mesh) == _reference_obj(mesh)
+    assert write_obj(mesh) == _reference_obj(mesh).encode()
 
 
 @pytest.mark.parametrize("n_s", [101, 401])
@@ -248,8 +300,9 @@ def _hand_built_mesh(flat_shaded):
 @pytest.mark.parametrize("flat_shaded", [False, True])
 def test_obj_text_of_hand_built_mesh_equals_reference(flat_shaded):
     mesh = _hand_built_mesh(flat_shaded)
-    text = write_obj(mesh)
-    assert text == _reference_obj(mesh)
+    data = write_obj(mesh)
+    assert data == _reference_obj(mesh).encode()
+    text = data.decode()
     assert "v -0 4.94065646e-324 1e+300\n" in text
     assert "v 123456790 " in text  # the tie at 9 digits goes to even
     assert f"f {2 ** 31 + 8}" in text
@@ -325,7 +378,7 @@ def test_face_tokens_at_width_boundaries(flat):
 
 def test_tangent_ruling_mesh_is_flat_shaded_obj():
     surface = RuledSurface(load_config(str(CONFIGS / "tangent_ruling.json")).surface)
-    text = write_obj(tessellate(surface, 9, 5))
+    text = write_obj(tessellate(surface, 9, 5)).decode()
     assert "vn " not in text
     assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 8 * 4 * 2
 
