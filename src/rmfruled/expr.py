@@ -153,11 +153,8 @@ def compose(g: Jet3, f0, f1, higher) -> Jet3:
 
 def _reciprocal(g: Jet3) -> Jet3:
     x = g.value
-    sq = power(x, 2)
-    if isinstance(x, np.ndarray):  # NaN, not -1/inf = -0, where the float x^2 raises
-        sq[(sq == math.inf) & np.isfinite(x)] = math.nan
-    return compose(g, 1.0 / x, -1.0 / sq,
-                   lambda: (2.0 / power(x, 3), -6.0 / power(x, 4)))
+    return compose(g, 1.0 / x, -1.0 / _divisor_power(x, 2),
+                   lambda: (2.0 / _divisor_power(x, 3), -6.0 / _divisor_power(x, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +189,15 @@ def power(x, p: float):
     if isinstance(x, np.ndarray):
         return np.float_power(x, p)
     return x ** p
+
+
+def _divisor_power(x, p: float):
+    """``power(x, p)`` to divide by: on an array, NaN where the float power of
+    a finite element raises, which a division would turn into a finite 0."""
+    y = power(x, p)
+    if isinstance(x, np.ndarray):
+        y[np.isinf(y) & np.isfinite(x)] = math.nan
+    return y
 
 
 def _on_float(cond) -> bool:
@@ -512,7 +518,8 @@ def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
     if name == "atan":
         d = 1.0 + x * x
         return compose(g, _apply(math.atan, x), 1.0 / d,
-                       lambda: (-2.0 * x / power(d, 2), (6.0 * x * x - 2.0) / power(d, 3)))
+                       lambda: (-2.0 * x / _divisor_power(d, 2),
+                                (6.0 * x * x - 2.0) / _divisor_power(d, 3)))
     if name == "sqrt":
         if _on_float(x <= 0.0):
             raise ExprDomainError("sqrt needs a positive argument for differentiation",
@@ -528,7 +535,8 @@ def _eval_call(name: str, g: Jet3, node: Expr) -> Jet3:
         v = _apply(math.log, x)
         if isinstance(x, np.ndarray):  # NaN wherever the log is: x^0 drops a NaN
             x = np.where(np.isnan(v), np.nan, x)
-        return compose(g, v, 1.0 / x, lambda: (-1.0 / power(x, 2), 2.0 / power(x, 3)))
+        return compose(g, v, 1.0 / x,
+                       lambda: (-1.0 / _divisor_power(x, 2), 2.0 / _divisor_power(x, 3)))
     if name == "abs":
         sgn = 1.0 * (x > 0) - 1.0 * (x < 0)
         return compose(g, abs(x), sgn, lambda: (0.0, 0.0))

@@ -12,9 +12,11 @@ both as a standalone operation and as the fallback for integrating theta
 across curvature-free points, where tau is undefined but the RMF is not.
 The RMF angle is tabulated once per curve, on 256 uniform cells where their
 own Richardson check (Simpson on h against 2h) shows an error of at most
-``TOL_TABLE``, and on 2048 cells otherwise.  Frames, angles and frame
-derivatives take a float or a 1-D grid, as :func:`curve.frenet` does, each
-grid element equal to the float evaluation.
+``TOL_TABLE``, and on 2048 cells otherwise.  The table is built at its first
+use, and a first grid of frame queries takes no Frenet call of its own: it
+rides on the table's, one call for a table of 256 cells and two for 2048.
+Frames, angles and frame derivatives take a float or a 1-D grid, as
+:func:`curve.frenet` does, each grid element equal to the float evaluation.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .record import Record
 _N_CELLS = 2048  # uniform cells of the RMF angle table at most, one Simpson panel each
 _COARSE = 8  # the table is tried first on every 8th of those nodes (256 cells)
 TOL_TABLE = 1e-13  # rad; the largest Richardson difference that table may show
+# what a grid Frenet call raises for the grid as a whole, such as a parameter
+# out of range or a speed past curve.MAX_SPEED
+_FRENET_ERRORS = (ArithmeticError, GeometryError, ex.ExprError)
 
 
 class RotationMinimizing(Record):
@@ -183,7 +188,38 @@ def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
     return AngleTable(grid, thetas, rates, richardson)
 
 
-def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
+def _panel(nodes, t):
+    """(index, parameter) of the node of the uniform ``nodes`` that starts the
+    panel of t, a float or a grid."""
+    t0, h = float(nodes[0]), float(nodes[-1] - nodes[0]) / (len(nodes) - 1)
+    k = np.fmin(np.fmax((t - t0) // h, 0), len(nodes) - 2).astype(int)  # NaN -> 0, not -2^63
+    return k, nodes[k]
+
+
+def _query_grids(nodes, query, known=False) -> tuple:
+    """The grids that a ``query`` adds to a Frenet call for the table on
+    ``nodes``: the query itself unless ``known``, then the midpoints between
+    it and the starts of its panels; none without a query."""
+    if query is None:
+        return ()
+    mids = np.ravel(0.5 * (_panel(nodes, query)[1] + query))
+    return (mids,) if known else (query, mids)
+
+
+def _frenet_pass(c: CurveDef, grids, extra=()) -> list:
+    """The FrenetData of each of ``grids``, then of each of ``extra``, from one
+    :func:`curve.frenet` call on them all.  Where that call raises, ``grids``
+    take a call of their own, which raises as they do alone, and each of
+    ``extra`` is None."""
+    try:
+        return ex._stacked(lambda t: frenet(c, t), (*grids, *extra))
+    except _FRENET_ERRORS:
+        if not extra:
+            raise
+    return ex._stacked(lambda t: frenet(c, t), grids) + [None] * len(extra)
+
+
+def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
     """Integrate d(theta)/dt = -|r'| tau over an increasing parameter grid.
 
     The rate does not depend on theta, so each grid interval is one Simpson
@@ -203,6 +239,14 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
     infinite rate fails).  Otherwise, or if its rate call raises, the table
     on the whole grid is returned as without ``tol``, bit for bit; only its
     nodes that the first try did not hold are evaluated.
+
+    With ``query``, a grid of frame queries, each Frenet call of the table
+    also takes the query, until one has, and the midpoints of its panels on
+    that call's table (:func:`_panel`).  Returns ``(table, fd, at_mid)``, the
+    FrenetData at the query and at its midpoints on the table returned, each
+    element as a call at the query alone gives it.  Where a call with the
+    query raises, the table's points take one alone, so the table raises or
+    not as without a query, and ``fd`` or ``at_mid`` is None.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -210,22 +254,29 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None) -> AngleTable:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     rates, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
+    served = []  # the FrenetData at the query, once a call has taken it
     if tol is not None:
         if (len(grid) - 1) % _COARSE:
             raise ValueError(f"grid must hold a multiple of {_COARSE} cells")
         half = _COARSE // 2
         try:
-            known = _theta_rate(frenet(c, grid[::half]))
-        except (ArithmeticError, GeometryError, ex.ExprError):
+            coarse, *extra = _frenet_pass(c, (grid[::half],),
+                                          _query_grids(grid[::_COARSE], query))
+        except _FRENET_ERRORS:
             pass  # the whole grid raises it again, or its own first error
         else:
+            known = _theta_rate(coarse)
             table = _table(c, theta0, grid[::_COARSE], known[::2], known[1::2], tol)
             if table is not None:
-                return table
+                return table if query is None else (table, *extra)
             rates[::half], fresh[::half] = known, False
-    rates[fresh], mids = ex._stacked(lambda t: _theta_rate(frenet(c, t)),
-                                     (grid[fresh], 0.5 * (grid[:-1] + grid[1:])))
-    return _table(c, theta0, grid, rates, mids)
+            served = [fd for fd in extra[:1] if fd is not None]
+    at_nodes, at_mids, *extra = _frenet_pass(
+        c, (grid[fresh], 0.5 * (grid[:-1] + grid[1:])),
+        _query_grids(grid, query, bool(served)))
+    rates[fresh] = _theta_rate(at_nodes)
+    table = _table(c, theta0, grid, rates, _theta_rate(at_mids))
+    return table if query is None else (table, *served, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +336,46 @@ class FrameField:
     The table takes 256 cells if every rate on them is finite and their
     Richardson difference is at most ``TOL_TABLE``, and 2048 otherwise;
     ``cells`` and ``richardson`` keep the count and the difference of the
-    table taken.  A grid of queries and the midpoints of its panels take one
-    Frenet call together (:meth:`frame_at`).
+    table taken.
+
+    The table is built at first use; only the check that the range holds
+    2048 distinct cells is made at construction.  A first grid of queries is
+    evaluated in the table's own Frenet calls, with the midpoints of its
+    panels; where a call with the query raises, the table's points take one
+    alone and the query its own, so each raises what it raises apart.  A
+    first float query, or a read of ``table``, ``cells``, ``richardson``,
+    ``_nodes``, ``_thetas`` or ``_rates`` before any query, builds the table
+    alone.  Every later query and the midpoints of its panels take one Frenet
+    call together (:meth:`frame_at`).
     """
 
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
         self.curve = c
         self.policy = policy
+        self._table = None
         if self.is_rmf:
-            nodes = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
-            if not np.all(np.diff(nodes) > 0):
+            self._grid = np.linspace(c.t_min, c.t_max, _N_CELLS + 1)
+            if not np.all(np.diff(self._grid) > 0):
                 raise GeometryError(f"range [{c.t_min}, {c.t_max}] is too narrow "
                                     f"for {_N_CELLS} angle-table cells")
-            table = theta_rmf(c, policy.theta0, nodes, tol=TOL_TABLE)
-            self._nodes, self._thetas = table.nodes, table.thetas
-            self._rates = table.rates
-            self.cells = len(self._nodes) - 1
-            self.richardson = table.richardson
-            self._h = (c.t_max - c.t_min) / self.cells
 
     @property
     def is_rmf(self) -> bool:
         return isinstance(self.policy, RotationMinimizing)
 
-    def _panel(self, t):
-        """(index, parameter) of the table node that starts the panel of t."""
-        k = np.fmin(np.fmax((t - self.curve.t_min) // self._h, 0),
-                    len(self._nodes) - 2).astype(int)  # NaN -> 0, not -2^63
-        return k, self._nodes[k]
+    @property
+    def table(self) -> AngleTable:
+        """The RMF :class:`AngleTable`, built alone if no query has built it."""
+        if self._table is None:
+            self._table = theta_rmf(self.curve, self.policy.theta0, self._grid,
+                                    tol=TOL_TABLE)
+        return self._table
+
+    cells = property(lambda self: len(self.table.nodes) - 1)
+    richardson = property(lambda self: self.table.richardson)
+    _nodes = property(lambda self: self.table.nodes)
+    _thetas = property(lambda self: self.table.thetas)
+    _rates = property(lambda self: self.table.rates)
 
     def theta_at(self, t, fd: FrenetData, mid):
         """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
@@ -325,16 +388,17 @@ class FrameField:
             return tuple(_guard(x, bad, lambda: ex.ExprDomainError(
                 f"theta={j.value}, theta'={j.d1} is not finite at s={t}"))
                 for x in (j.value, j.d1))
+        table = self.table
         rate = _theta_rate(fd)
-        k, t0 = self._panel(t)
-        th0 = self._thetas[k]
-        step = _simpson(t - t0, self._rates[k], mid, rate)
+        k, t0 = _panel(table.nodes, t)
+        th0 = table.thetas[k]
+        step = _simpson(t - t0, table.rates[k], mid, rate)
         theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
         for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
             # Bridge from the last node at or below t that has a Frenet frame.
-            j = int(np.flatnonzero(~np.isnan(self._rates[:np.ravel(k)[i] + 1]))[-1])
-            theta[i] = _theta_across_flat(self.curve, float(self._nodes[j]),
-                                          float(np.ravel(t)[i]), float(self._thetas[j]))
+            j = int(np.flatnonzero(~np.isnan(table.rates[:np.ravel(k)[i] + 1]))[-1])
+            theta[i] = _theta_across_flat(self.curve, float(table.nodes[j]),
+                                          float(np.ravel(t)[i]), float(table.thetas[j]))
         return (theta if isinstance(t, np.ndarray) else theta.item()), rate
 
     def frenet_at(self, t) -> FrenetData:
@@ -343,12 +407,25 @@ class FrameField:
     def frame_at(self, t):
         """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where
         kappa = 0.  Under the RMF the Frenet data at t and at its panel
-        midpoints come from one ``_stacked`` call, a float's midpoint a grid of one."""
-        if self.is_rmf:
-            fd, at_mid = ex._stacked(self.frenet_at,
-                                     (t, np.ravel(0.5 * (self._panel(t)[1] + t))))
-            mid = _theta_rate(at_mid)
-        else:
+        midpoints come from one ``_stacked`` call, a float's midpoint a grid of
+        one, or, for a first grid query, from the table's own calls."""
+        if not self.is_rmf:
             fd, mid = self.frenet_at(t), None
+        elif (first := self._first_query(t)) is not None:
+            fd, mid = first
+        else:
+            fd, at_mid = ex._stacked(self.frenet_at,
+                                     (t, *_query_grids(self.table.nodes, t, known=True)))
+            mid = _theta_rate(at_mid)
         theta, theta_prime = self.theta_at(t, fd, mid)
         return fd, adapted_frame(fd, theta, theta_prime)
+
+    def _first_query(self, t):
+        """(FrenetData, midpoint rates) of a grid ``t`` from the table's own
+        Frenet calls, which build the table; None once it is built, at a
+        float, and where the calls with ``t`` raise (``t`` then takes its own)."""
+        if self._table is not None or not isinstance(t, np.ndarray):
+            return None
+        self._table, fd, at_mid = theta_rmf(self.curve, self.policy.theta0,
+                                            self._grid, tol=TOL_TABLE, query=t)
+        return None if fd is None or at_mid is None else (fd, _theta_rate(at_mid))

@@ -379,7 +379,15 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, edit, code, prefix
      "E_CONFIG: unknown expectation 'bogus'\n"),
     ("surface", (CONFIGS / "example2.json").read_text(), ["--samples", "1"],
      "E_CONFIG: --samples must be >= 2\n"),
-], ids=["json-invalid", "expect-unknown", "samples-1"])
+    # the expectations are checked before the RMF angle table, built at the
+    # first frame query, meets the pole between its nodes (exit 3 alone)
+    ("verify", json.dumps({**json.loads((CONFIGS / "example2.json").read_text()),
+                           "curve": {"x": "s", "y": "s^2", "z": "s^3+1/(s+0.49951171875)",
+                                     "s_range": [-1, 1]},
+                           "theta": {"mode": "rmf", "theta0": 0},
+                           "expect": {"bogus": True}}), [],
+     "E_CONFIG: unknown expectation 'bogus'\n"),
+], ids=["json-invalid", "expect-unknown", "samples-1", "expect-before-table"])
 def test_config_guard_messages(tmp_path, capsys, command, text, extra, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(text)

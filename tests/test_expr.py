@@ -255,7 +255,11 @@ _FAILING_ROWS = {
     "atan(1/s)": [5], "log(s)^0": range(6), "(1/s)^0": [5],
     "exp(1000)*s": range(11), "s+1/0": range(11), "0^-1": range(11),
     "s^(2^3^4^5)": range(11), "1/(1e200+s)": range(11),
+    "log(1e200+s)": range(11), "1/(1e120+s)": range(11), "atan(1e100+s)": range(11),
 }
+# Of those, the expressions whose float evaluation raises only in d2 or d3,
+# where a power of x overflows in a denominator: at order 1 no row fails.
+_D2_OVERFLOWS = ("log(1e200+s)", "1/(1e120+s)", "atan(1e100+s)")
 
 
 @pytest.mark.parametrize("text,lo,hi", [
@@ -265,6 +269,7 @@ _FAILING_ROWS = {
     ("log(s)^0", -1.0, 1.0), ("(1/s)^0", -1.0, 1.0), ("exp(1000)*s", -1.0, 1.0),
     ("s+1/0", -1.0, 1.0), ("0^-1", -1.0, 1.0), ("s^(2^3^4^5)", -1.0, 1.0),
     ("1/(1e200+s)", -1.0, 1.0),  # x^2 overflows, though -1/x^2 would not
+    *((text, -1.0, 1.0) for text in _D2_OVERFLOWS),  # so do x^2, x^3 or (1+x^2)^2
 ])
 def test_grid_domain_error_on_some_nodes(text, lo, hi):
     failed = _assert_grid_matches_points(ex.parse(text), np.linspace(lo, hi, 11))
@@ -355,4 +360,5 @@ def test_grid_of_order_1_fails_where_its_float_calls_do(text, lo, hi):
     # exp(s)^2 overflows from s = 354.9: -1/exp(s)^2 is -0 on the grid, while
     # the float call raises
     failed = _assert_grid_matches_points(ex.parse(text), np.linspace(lo, hi, 11), 1)
-    assert failed == list(_FAILING_ROWS.get(text, range(5, 11)))
+    assert failed == ([] if text in _D2_OVERFLOWS
+                      else list(_FAILING_ROWS.get(text, range(5, 11))))

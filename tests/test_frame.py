@@ -5,11 +5,12 @@ import pytest
 
 from rmfruled import frame
 from rmfruled.curve import CurveDef, frenet, tangent_data
-from rmfruled.errors import ParameterOutOfRange
-from rmfruled.expr import ExprDomainError
+from rmfruled.errors import GeometryError, ParameterOutOfRange
+from rmfruled.expr import ExprDomainError, ExprError
 from rmfruled.frame import (TOL_TABLE, ExplicitTheta, FrameField,
                             RotationMinimizing, adapted_frame, double_reflection,
                             frame_derivatives, theta_rmf)
+from rmfruled.record import fields
 
 TWO_PI = 2 * math.pi
 
@@ -72,10 +73,14 @@ def test_theta_rmf_across_inflection():
 
 def test_angle_table_ends_where_the_curve_fails_between_nodes():
     # The pole sits at the midpoint of two table nodes alone: its rate is NaN,
-    # and the bridge across it ends the job with the float call's error.
+    # and the bridge across it ends the job with the float call's error.  The
+    # table is built at first use: a read of it, or a first frame query.
     c = CurveDef.from_strings("s", "s^2", "s^3+1/(s+0.49951171875)", -1, 1)
-    with pytest.raises(ExprDomainError, match=r"in 's\+0.49951171875'$"):
-        FrameField(c, RotationMinimizing(0.0))
+    for first_use in (lambda f: f.cells, lambda f: f.frame_at(0.5),
+                      lambda f: f.frame_at(np.linspace(-1.0, 1.0, 11))):
+        field = FrameField(c, RotationMinimizing(0.0))
+        with pytest.raises(ExprDomainError, match=r"in 's\+0.49951171875'$"):
+            first_use(field)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +146,84 @@ def test_turned_down_table_is_the_2048_cell_table_bit_for_bit(name):
     assert _table_bytes(sized) == _table_bytes(cap)
 
 
-def test_turned_down_table_evaluates_each_rate_once(monkeypatch):
-    # The 2048-cell pass reuses the 513 rates of the 256-cell try: 2049 nodes
-    # and 2048 midpoints in all, as without the try.
+def _counting_frenet(monkeypatch) -> list:
+    """The sizes of the grids that ``frame``'s Frenet calls take."""
     counts = []
 
     def counted(c, t):
         counts.append(np.size(t))
         return frenet(c, t)
     monkeypatch.setattr(frame, "frenet", counted)
+    return counts
+
+
+def test_turned_down_table_evaluates_each_rate_once(monkeypatch):
+    # The 2048-cell pass reuses the 513 rates of the 256-cell try: 2049 nodes
+    # and 2048 midpoints in all, as without the try.
+    counts = _counting_frenet(monkeypatch)
     field = FrameField(CurveDef.from_strings("s", "s^2", "s^3", -1, 1),
                        RotationMinimizing(0.0))
     assert field.cells == 2048 and counts == [513, 3584]
+
+
+@pytest.mark.parametrize("xyz, cells, passes", [
+    (("s", "s^2", "s^3"), 2048, [513 + 2 * 101, 3584 + 101]),
+    (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), 256, [513 + 2 * 101]),
+])
+def test_first_grid_query_rides_on_the_table_passes(monkeypatch, xyz, cells, passes):
+    # The first pass takes the 256-cell nodes and midpoints, the query and its
+    # 256-cell panel midpoints; a turned-down table's pass adds the query's
+    # 2048-cell panel midpoints alone.  A later query takes its own call.
+    counts = _counting_frenet(monkeypatch)
+    field = FrameField(CurveDef.from_strings(*xyz, -1, 1), RotationMinimizing(0.0))
+    assert counts == []
+    field.frame_at(np.linspace(-1.0, 1.0, 101))
+    assert counts == passes and field.cells == cells
+    field.frame_at(np.linspace(-0.5, 0.5, 7))
+    assert counts == passes + [14]
+
+
+def _frames_bytes(field, t):
+    """The bytes of every field of the frames at t and of the angle table, or
+    the class and text of the geometry or expression error of either."""
+    try:
+        fd, af = field.frame_at(t)
+    except (GeometryError, ExprError) as err:
+        return type(err).__name__, str(err)
+    return [np.asarray(x).tobytes() for r in (fd, af, field.table)
+            for x in fields(r).values()]
+
+
+_G = np.linspace(-1.0, 1.0, 101)
+
+MERGED = {
+    "helix": (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), _G),
+    "circle": (("cos(s)", "sin(s)", "0"), _G),
+    "twisted_cubic": (("s", "s^2", "s^3"), _G),
+    "flat_node": (("s", "s^3", "s^4"), _G),
+    # s, s + h and s - h as verify stacks them, all within the range's slack
+    "verify_stack": (("s", "s^2", "s^3"), np.concatenate([_G, _G + 1e-4, _G - 1e-4])),
+    # the merged pass raises where the query is out of range, and the table's
+    # bridge across the pole: the error is the one of the table or query alone
+    "query_out_of_range": (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), _G * 1.5),
+    "pole_between_nodes": (("s", "s^2", "s^3+1/(s+0.49951171875)"), _G),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED))
+def test_first_grid_query_equals_a_query_on_a_table_built_before(name):
+    xyz, t = MERGED[name]
+    c = CurveDef.from_strings(*xyz, -1, 1)
+    merged, alone = (FrameField(c, RotationMinimizing(0.3)) for _ in range(2))
+    later = np.linspace(-0.9, 0.9, 13)  # after a failed merged pass too
+    try:
+        alone.table
+    except (GeometryError, ExprError) as err:
+        failed = type(err).__name__, str(err)
+        assert _frames_bytes(merged, t) == _frames_bytes(merged, later) == failed
+        return
+    assert _frames_bytes(merged, t) == _frames_bytes(alone, t)
+    assert _frames_bytes(merged, later) == _frames_bytes(alone, later)
 
 
 def test_sized_table_needs_a_multiple_of_8_cells(helix_2pi):

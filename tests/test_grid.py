@@ -12,7 +12,8 @@ one per sample.  A grid stacked from two grids must give what the two give
 apart, ``RuledSurface.stack`` makes its stacked passes at once,
 ``RuledSurface.sample`` on a v-grid gives each v's rows of the float-v call
 (``classify`` takes K from one such call), and one
-``verify`` or ``surface`` run makes a pinned number of curve passes (and
+``frames``, ``surface``, ``classify`` or ``verify`` run makes a pinned number
+of curve passes, its first frame grid riding on the angle table's (and
 ``verify`` one frame, one director-row and one batched determinant grid
 call).  The RMF angle table must hold at each node the rate of a float
 :func:`curve.frenet` call there, bit for bit, NaN where that call raises.
@@ -408,24 +409,43 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+# A config of the twisted cubic (s, s^2, s^3), whose curvature never
+# vanishes and whose angle table on [-1, 1] is turned down to 2048 cells.
+TWISTED_CUBIC = {
+    "curve": {"x": "s", "y": "s^2", "z": "s^3", "s_range": [-1, 1]},
+    "theta": {"mode": "rmf", "theta0": 0},
+    "director": {"x1": "0", "x2": "1", "x3": "s"},
+    "grid": {"n_s": 101, "n_v": 11, "v_range": [-1, 1]},
+}
+
+
 @pytest.mark.parametrize("command,cfg,jets,frenets", [
-    ("verify", "proportional_normal_coeffs.json", 9, 2),
-    ("classify", "proportional_normal_coeffs.json", 15, 3),
-    ("surface", "proportional_normal_coeffs.json", 9, 2),
+    ("verify", "proportional_normal_coeffs.json", 6, 1),
+    ("classify", "proportional_normal_coeffs.json", 12, 2),
+    ("surface", "proportional_normal_coeffs.json", 6, 1),
+    ("frames", "proportional_normal_coeffs.json", 3, 1),
     ("surface", "example1.json", 7, 1),
+    ("surface", "twisted_cubic.json", 9, 2),
 ])
 def test_curve_passes_per_run(tmp_path, monkeypatch, command, cfg, jets, frenets):
-    # Three curve jets per grid.  Under the RMF the angle table takes one
-    # Frenet call on its nodes and midpoints for its rates.  Every other grid
-    # takes one Frenet call, stacked on its panel midpoints under the RMF, and
-    # three director jets; an explicit theta adds one jet.
-    # surface evaluates the s-grid; verify evaluates [s; s + h; s - h] once,
-    # for the report and the oracles alike; classify evaluates the s-grid,
-    # then [s - h; s; s + h] for its K stencil, which verify does not run.
+    # Three curve jets per Frenet call, three director jets per grid, and one
+    # more jet for an explicit theta.  Under the RMF the angle table's Frenet
+    # call on its 256-cell nodes and midpoints also takes the first grid of
+    # frame queries and the midpoints of its panels; a table turned down to
+    # 2048 cells takes one more call, on its other nodes and midpoints and the
+    # query's midpoints on its panels.  Every later grid takes one Frenet
+    # call, stacked on its panel midpoints under the RMF.
+    # surface and frames evaluate the s-grid; verify evaluates [s; s + h;
+    # s - h] once, for the report and the oracles alike; classify evaluates
+    # the s-grid, then [s - h; s; s + h] for its K stencil, which verify does
+    # not run.
+    path = CONFIGS / cfg
+    if cfg == "twisted_cubic.json":
+        path = tmp_path / cfg
+        path.write_text(json.dumps(TWISTED_CUBIC))
     jet_calls = _count_calls(monkeypatch, expr, "eval_jet")
     frenet_calls = _count_calls(monkeypatch, curve, "frenet")
-    assert main([command, "--config", str(CONFIGS / cfg),
-                 "--out", str(tmp_path / "out")]) == 0
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert (len(jet_calls), len(frenet_calls)) == (jets, frenets)
 
 
