@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"n_s * n_v must be at most {MAX_GRID_POINTS}")
         if args.format:
             job.fmt = args.format
-        if getattr(args, "tol_dev", None) is not None:
+        if args.tol_dev is not None:
             job.tol_dev = _finite(args.tol_dev, "--tol-dev")
         out = _resolve_out(args, job)
         handler = {"frames": cmd_frames, "surface": cmd_surface,

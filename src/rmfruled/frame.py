@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .curve import (CurveDef, FrenetData, _guard, _per_sample, frenet,
                     tangent_data, vec_cross)
-from .errors import GeometryError, VanishingCurvature
+from .errors import GeometryError
 from .record import Record
 
 _N_CELLS = 2048  # uniform cells of the RMF angle table at most, one Simpson panel each
@@ -171,18 +171,17 @@ def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
         thetas[k:j + 1] = np.cumsum(np.concatenate(([thetas[k]], steps[k:j])))
         if j == len(steps):
             break
-        # Bridge to the next node where the Frenet frame exists again; the
-        # gap nodes themselves have no defined angle and get interpolated
-        # placeholders (no adapted frame exists there anyway).
+        # One bridge to the next node with a rate, or to the last node; the gap
+        # nodes have no defined angle (nor adapted frame) and get interpolated
+        # placeholders.  A tangent is checked first on 33 points of the first
+        # cell, then on the later nodes it spans (all if node k has no rate).
         k = j
-        for j in range(k + 1, len(grid)):
-            try:
-                thetas[j] = _theta_across_flat(c, float(grid[k]), float(grid[j]),
-                                               float(thetas[k]))
-                break
-            except VanishingCurvature:
-                if j == len(grid) - 1:
-                    raise
+        ahead = np.flatnonzero(~np.isnan(rates[k + 1:]))
+        j = k + 1 + int(ahead[0]) if ahead.size else len(grid) - 1
+        rest = grid[k + 2:] if np.isnan(rates[k]) else grid[k + 2:j]
+        gap = np.concatenate((np.linspace(grid[k], grid[k + 1], 33), rest))
+        ex._float_path(lambda t: tangent_data(c, t), gap, tangent_data(c, gap)[1])
+        thetas[j] = _theta_across_flat(c, float(grid[k]), float(grid[j]), float(thetas[k]))
         thetas[k + 1:j] = np.interp(grid[k + 1:j], grid[[k, j]], thetas[[k, j]])
         k = j
     return AngleTable(grid, thetas, rates, richardson)
@@ -196,14 +195,13 @@ def _panel(nodes, t):
     return k, nodes[k]
 
 
-def _query_grids(nodes, query, known=False) -> tuple:
+def _query_grids(nodes, query) -> tuple:
     """The grids that a ``query`` adds to a Frenet call for the table on
-    ``nodes``: the query itself unless ``known``, then the midpoints between
-    it and the starts of its panels; none without a query."""
+    ``nodes``: the query itself, then the midpoints between it and the starts
+    of its panels; none without a query."""
     if query is None:
         return ()
-    mids = np.ravel(0.5 * (_panel(nodes, query)[1] + query))
-    return (mids,) if known else (query, mids)
+    return query, np.ravel(0.5 * (_panel(nodes, query)[1] + query))
 
 
 def _frenet_pass(c: CurveDef, grids, extra=()) -> list:
@@ -224,12 +222,14 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
 
     The rate does not depend on theta, so each grid interval is one Simpson
     panel (rates at its two nodes and its midpoint) and the angle is their
-    cumulative sum; intervals where the curvature vanishes are bridged by
-    double reflection.  The rates are ``-fd.speed * fd.tau`` of one
-    :func:`curve.frenet` call on the nodes stacked on the midpoints.  A node or
-    midpoint without a tangent (a cusp, or a curve undefined there) has no
-    rate either, and the bridge across it, whose sub-samples hold the nodes
-    and midpoints it spans, ends the job with the float call's error there.
+    cumulative sum.  The rates are ``-fd.speed * fd.tau`` of one
+    :func:`curve.frenet` call on the nodes stacked on the midpoints, NaN where
+    the curvature vanishes, and each gap of such panels takes one double
+    reflection bridge, to the next node with a rate or the last node.  A node
+    or midpoint without a tangent (a cusp, or a curve undefined there) has no
+    rate either.  A gap's first cell on 33 points, its later nodes (all if its
+    first node has no rate) and the bridge's sub-samples are checked in turn:
+    the first without a tangent ends the job with the float call's error.
     Returns the :class:`AngleTable`, theta kept unwrapped.
 
     With ``tol``, the table is sized by its own error: ``grid`` must hold
@@ -273,7 +273,7 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
             served = [fd for fd in extra[:1] if fd is not None]
     at_nodes, at_mids, *extra = _frenet_pass(
         c, (grid[fresh], 0.5 * (grid[:-1] + grid[1:])),
-        _query_grids(grid, query, bool(served)))
+        _query_grids(grid, query)[len(served):])
     rates[fresh] = _theta_rate(at_nodes)
     table = _table(c, theta0, grid, rates, _theta_rate(at_mids))
     return table if query is None else (table, *served, *extra)
@@ -414,8 +414,7 @@ class FrameField:
         elif (first := self._first_query(t)) is not None:
             fd, mid = first
         else:
-            fd, at_mid = ex._stacked(self.frenet_at,
-                                     (t, *_query_grids(self.table.nodes, t, known=True)))
+            fd, at_mid = ex._stacked(self.frenet_at, _query_grids(self.table.nodes, t))
             mid = _theta_rate(at_mid)
         theta, theta_prime = self.theta_at(t, fd, mid)
         return fd, adapted_frame(fd, theta, theta_prime)

@@ -1,7 +1,8 @@
 """Differential runner: seeded random configs through every subcommand.
 
 Each config draws a curve (smooth, straight, with a curvature-free node, a
-cusp, a pole, a square root, or a speed of 1e110), a theta policy (the RMF
+cusp, a cusp beside a curvature-free node, a curvature-free start with a
+later cusp, a pole, a square root, or a speed of 1e110), a theta policy (the RMF
 from a random theta0, or an explicit expression), director coefficients from
 a pool that fails at some, every or no sample, a ``v_range`` up to +-1e200,
 and sometimes tolerances and expectations.  Each config runs through
@@ -61,6 +62,10 @@ BAD_CURVES = [
     ("s", "1/s", "s^2"),              # pole at s = 0
     ("s", "sqrt(s)", "s^2"),          # sqrt needs s > 0
     ("1e110*s", "cos(s)", "sin(s)"),  # |r'|^3 overflows
+    # on [-1, 1]: |r'| = 0 at s = 0, kappa = 0 at the next angle-table node
+    ("s^3", "2*s^3", "s^5/5 - 0.0009765625*s^4/2 + 0.0009765625^2*s^3/3"),
+    # on [0, 1]: kappa = 0 at s = 0, |r'| = 0 at s = 0.5
+    ("(s-0.5)^3/3", "s^5/5 - s^4/4 + s^3/12", "0"),
 ]
 RANGES = [(-1.0, 1.0), (0.0, 1.0), (-5.0, 5.0), (0.5, 2.0), (-2.0, 0.3)]
 THETAS = ["s", "atan(s)", "0", "s^2", "sin(s)"]

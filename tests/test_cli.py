@@ -256,9 +256,9 @@ def _assert_too_fast(tmp_path, capsys, command, theta, speed):
 def test_nan_speed_is_a_missing_tangent_bridged_once(tmp_path, capsys, monkeypatch,
                                                     command):
     # inf * 0 makes y NaN at every sample without a DSL error, so |r'| is NaN:
-    # a missing tangent, which the RMF angle table's first bridge, from the
-    # first node to the next, reports; as vanishing curvature it would try a
-    # bridge from the first node to each of the 2048 later ones
+    # a missing tangent, which the RMF angle table's check of the nodes of its
+    # first gap reports at the first node, before any bridge; as vanishing
+    # curvature it would end the job at the bridge from the first node
     bridges = []
     bridge = frame._theta_across_flat
     monkeypatch.setattr(frame, "_theta_across_flat",
@@ -270,7 +270,47 @@ def test_nan_speed_is_a_missing_tangent_bridged_once(tmp_path, capsys, monkeypat
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "E_GEOMETRY: |r'|=nan at t=-5.0\n"
-    assert len(bridges) == 1 and not out.exists()
+    assert len(bridges) == 0 and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["frames", "surface", "classify", "verify"])
+@pytest.mark.parametrize("curve,s_range,n_s,err,n_bridges", [
+    # kappa = 0 at the first node, then at no other: one bridge, which fails
+    (("s", "s^3", "s^4"), [0, 1], None, "kappa=0.000e+00 at t=0.0", 1),
+    # kappa = 0 everywhere: one bridge to the last node, which fails
+    (("s", "0", "0"), [-1, 1], None, "kappa=0.000e+00 at t=-1.0", 1),
+    # |r'| = 0 at s = 0 and kappa = 0 at the next node: a bridge from the node
+    # below 0 to the first node with a rate would not hold s = 0, nor would
+    # the 100 samples
+    (("s^3", "2*s^3", "s^5/5 - 0.0009765625*s^4/2 + 0.0009765625^2*s^3/3"), [-1, 1],
+     100, "|r'|=0.000e+00 at t=0.0", 0),
+    # kappa = 0 at the first node and |r'| = 0 at s = 0.5, past the next node
+    # with a rate: a gap whose first node has no rate checks every later node
+    (("(s-0.5)^3/3", "s^5/5 - s^4/4 + s^3/12", "0"), [0, 1], None,
+     "|r'|=0.000e+00 at t=0.5", 0),
+    # the same on [-1, 1]: kappa = 0 at s = 0 takes one bridge; the gap at
+    # s = 0.5 checks 33 points of its first cell, which ends at 0.5, in turn,
+    # and |r'| is already too small at the one before 0.5
+    (("(s-0.5)^3/3", "s^5/5 - s^4/4 + s^3/12", "0"), [-1, 1], None,
+     "|r'|=9.600e-10 at t=0.499969482421875", 1),
+])
+def test_flat_gap_is_bridged_once_after_its_nodes_are_checked(
+        tmp_path, capsys, monkeypatch, command, curve, s_range, n_s, err, n_bridges):
+    bridges = []
+    bridge = frame._theta_across_flat
+    monkeypatch.setattr(frame, "_theta_across_flat",
+                        lambda *args: bridges.append(args) or bridge(*args))
+    doc = json.loads((CONFIGS / "example2.json").read_text())
+    doc["curve"].update(zip("xyz", curve), s_range=s_range)
+    doc["theta"] = {"mode": "rmf", "theta0": 0}
+    if n_s is not None:
+        doc["grid"]["n_s"] = n_s
+    cfg, out = tmp_path / "c.json", tmp_path / "r.out"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"E_GEOMETRY: {err}\n"
+    assert len(bridges) == n_bridges and not out.exists()
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
