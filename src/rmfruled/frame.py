@@ -12,9 +12,10 @@ both as a standalone operation and as the fallback for integrating theta
 across curvature-free points, where tau is undefined but the RMF is not.
 The RMF angle is tabulated once per curve, on 256 uniform cells where their
 own Richardson check (Simpson on h against 2h) shows an error of at most
-``TOL_TABLE``, and on 2048 cells otherwise.  The table is built at its first
+``TOL_TABLE``, and on 2048 cells otherwise, and read between nodes from the
+rates the table holds at every half cell.  The table is built at its first
 use, and a first grid of frame queries takes no Frenet call of its own: it
-rides on the table's, one call for a table of 256 cells and two for 2048.
+rides on the table's first call.
 Frames, angles and frame derivatives take a float or a 1-D grid, as
 :func:`curve.frenet` does, each grid element equal to the float evaluation.
 """
@@ -70,10 +71,11 @@ class AdaptedFrame(Record):
 
 class AngleTable(Record):
     """The RMF angle ``thetas`` at increasing ``nodes``, the ``rates``
-    d(theta)/dt there (NaN if flat) and ``richardson``, the sum over pairs of
-    cells of |S_h - S_2h| (see :func:`theta_rmf`)."""
+    d(theta)/dt there and ``mids`` at the cell midpoints (NaN if none), and
+    ``richardson``, the sum over pairs of cells of |S_h - S_2h| (see
+    :func:`theta_rmf`)."""
 
-    __slots__ = ("nodes", "thetas", "rates", "richardson")
+    __slots__ = ("nodes", "thetas", "rates", "mids", "richardson")
 
 
 def _cos_sin(theta):
@@ -115,8 +117,12 @@ def frame_derivatives(fd: FrenetData, af: AdaptedFrame):
 # theta integration
 
 
-def _theta_rate(fd: FrenetData) -> float:
-    return -fd.speed * fd.tau
+def _theta_rate(fd: FrenetData):
+    """-|r'| tau; NaN where that is not finite, which is no rate."""
+    rate = -fd.speed * fd.tau
+    if isinstance(rate, np.ndarray):
+        return np.where(np.isfinite(rate), rate, np.nan)
+    return rate if math.isfinite(rate) else math.nan
 
 
 def _simpson(h, a, m, b):
@@ -163,7 +169,7 @@ def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
     if tol is not None and not richardson <= tol:
         return None
     thetas = np.full(len(grid), float(theta0))
-    flat = np.append(np.isnan(steps), True)  # sentinel past the last interval
+    flat = np.append(~np.isfinite(steps), True)  # sentinel past the last interval
     k = 0
     while k < len(grid) - 1:
         # Sum panels up to the next interval without a Frenet frame.
@@ -184,24 +190,19 @@ def _table(c: CurveDef, theta0: float, grid, rates, mids, tol=None):
         thetas[j] = _theta_across_flat(c, float(grid[k]), float(grid[j]), float(thetas[k]))
         thetas[k + 1:j] = np.interp(grid[k + 1:j], grid[[k, j]], thetas[[k, j]])
         k = j
-    return AngleTable(grid, thetas, rates, richardson)
+    return AngleTable(grid, thetas, rates, mids, richardson)
 
 
-def _panel(nodes, t):
-    """(index, parameter) of the node of the uniform ``nodes`` that starts the
-    panel of t, a float or a grid."""
-    t0, h = float(nodes[0]), float(nodes[-1] - nodes[0]) / (len(nodes) - 1)
-    k = np.fmin(np.fmax((t - t0) // h, 0), len(nodes) - 2).astype(int)  # NaN -> 0, not -2^63
-    return k, nodes[k]
+def _cubic_integrals(x):
+    """24 times the integrals from 0 to x of the four Lagrange cubics on the
+    points 0, 1, 2, 3, elementwise, so that a float and a grid round alike."""
+    return (x * (24.0 + x * (-22.0 + x * (8.0 - x))),
+            x * x * (36.0 + x * (-20.0 + x * 3.0)),
+            x * x * (-18.0 + x * (16.0 - x * 3.0)),
+            x * x * (4.0 + x * (-4.0 + x)))
 
 
-def _query_grids(nodes, query) -> tuple:
-    """The grids that a ``query`` adds to a Frenet call for the table on
-    ``nodes``: the query itself, then the midpoints between it and the starts
-    of its panels; none without a query."""
-    if query is None:
-        return ()
-    return query, np.ravel(0.5 * (_panel(nodes, query)[1] + query))
+_CUBIC_INTEGRALS_AT_1 = _cubic_integrals(1.0)
 
 
 def _frenet_pass(c: CurveDef, grids, extra=()) -> list:
@@ -224,12 +225,13 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
     panel (rates at its two nodes and its midpoint) and the angle is their
     cumulative sum.  The rates are ``-fd.speed * fd.tau`` of one
     :func:`curve.frenet` call on the nodes stacked on the midpoints, NaN where
-    the curvature vanishes, and each gap of such panels takes one double
-    reflection bridge, to the next node with a rate or the last node.  A node
-    or midpoint without a tangent (a cusp, or a curve undefined there) has no
-    rate either.  A gap's first cell on 33 points, its later nodes (all if its
-    first node has no rate) and the bridge's sub-samples are checked in turn:
-    the first without a tangent ends the job with the float call's error.
+    the curvature vanishes or that is not finite, and each gap of such panels
+    (or of infinite steps) takes one double reflection bridge, to the next
+    node with a rate or the last node.  A node or midpoint without a tangent
+    (a cusp, or a curve undefined there) has no rate either.  A gap's first
+    cell on 33 points, its later nodes (all if its first node has no rate)
+    and the bridge's sub-samples are checked in turn: the first without a
+    tangent ends the job with the float call's error.
     Returns the :class:`AngleTable`, theta kept unwrapped.
 
     With ``tol``, the table is sized by its own error: ``grid`` must hold
@@ -240,13 +242,11 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
     on the whole grid is returned as without ``tol``, bit for bit; only its
     nodes that the first try did not hold are evaluated.
 
-    With ``query``, a grid of frame queries, each Frenet call of the table
-    also takes the query, until one has, and the midpoints of its panels on
-    that call's table (:func:`_panel`).  Returns ``(table, fd, at_mid)``, the
-    FrenetData at the query and at its midpoints on the table returned, each
-    element as a call at the query alone gives it.  Where a call with the
-    query raises, the table's points take one alone, so the table raises or
-    not as without a query, and ``fd`` or ``at_mid`` is None.
+    With ``query``, a grid of frame queries, the table's first Frenet call
+    also takes the query.  Returns ``(table, fd)``, ``fd`` the FrenetData at
+    the query, each element as a call at the query alone gives it.  Where the
+    call with the query raises, the table's points take one alone, so the
+    table raises or not as without a query, and ``fd`` is None.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -254,29 +254,27 @@ def theta_rmf(c: CurveDef, theta0: float, grid, *, tol=None, query=None):
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     rates, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
-    served = []  # the FrenetData at the query, once a call has taken it
+    extra, fd = () if query is None else (query,), [None]
     if tol is not None:
         if (len(grid) - 1) % _COARSE:
             raise ValueError(f"grid must hold a multiple of {_COARSE} cells")
         half = _COARSE // 2
         try:
-            coarse, *extra = _frenet_pass(c, (grid[::half],),
-                                          _query_grids(grid[::_COARSE], query))
+            coarse, *fd = _frenet_pass(c, (grid[::half],), extra)
         except _FRENET_ERRORS:
             pass  # the whole grid raises it again, or its own first error
         else:
             known = _theta_rate(coarse)
             table = _table(c, theta0, grid[::_COARSE], known[::2], known[1::2], tol)
             if table is not None:
-                return table if query is None else (table, *extra)
+                return table if query is None else (table, *fd)
             rates[::half], fresh[::half] = known, False
-            served = [fd for fd in extra[:1] if fd is not None]
-    at_nodes, at_mids, *extra = _frenet_pass(
-        c, (grid[fresh], 0.5 * (grid[:-1] + grid[1:])),
-        _query_grids(grid, query)[len(served):])
+        extra = ()
+    at_nodes, at_mids, *got = _frenet_pass(
+        c, (grid[fresh], 0.5 * (grid[:-1] + grid[1:])), extra)
     rates[fresh] = _theta_rate(at_nodes)
     table = _table(c, theta0, grid, rates, _theta_rate(at_mids))
-    return table if query is None else (table, *served, *extra)
+    return table if query is None else (table, *(got or fd))
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +328,22 @@ class FrameField:
     """Adapted frame evaluable at arbitrary parameters.
 
     For the RMF policy, theta is tabulated on a uniform node grid once, one
-    Simpson panel per cell (:func:`theta_rmf`), and queried by one more panel
-    from the nearest node below, which keeps theta(t) smooth within machine
-    accuracy (the starting node value is shared by both sides of every node).
-    The table takes 256 cells if every rate on them is finite and their
-    Richardson difference is at most ``TOL_TABLE``, and 2048 otherwise;
-    ``cells`` and ``richardson`` keep the count and the difference of the
-    table taken.
+    Simpson panel per cell (:func:`theta_rmf`), and read at a query from the
+    node below it and the rates the table holds at its nodes and midpoints
+    (:meth:`theta_at`), so that a query needs the Frenet data at its own
+    points only.  The table takes 256 cells if every rate on them is finite
+    and their Richardson difference is at most ``TOL_TABLE``, and 2048
+    otherwise; ``cells`` and ``richardson`` keep the count and the difference
+    of the table taken.
 
     The table is built at first use; only the check that the range holds
     2048 distinct cells is made at construction.  A first grid of queries is
-    evaluated in the table's own Frenet calls, with the midpoints of its
-    panels; where a call with the query raises, the table's points take one
-    alone and the query its own, so each raises what it raises apart.  A
-    first float query, or a read of ``table``, ``cells``, ``richardson``,
-    ``_nodes``, ``_thetas`` or ``_rates`` before any query, builds the table
-    alone.  Every later query and the midpoints of its panels take one Frenet
-    call together (:meth:`frame_at`).
+    evaluated in the table's first Frenet call; where that call raises, the
+    table's points take one alone and the query its own, so each raises what
+    it raises apart.  A first float query, or a read of ``table``, ``cells``,
+    ``richardson``, ``_nodes``, ``_thetas`` or ``_rates`` before any query,
+    builds the table alone.  Every later query takes one Frenet call of its
+    own (:meth:`frame_at`).
     """
 
     def __init__(self, c: CurveDef, policy: ThetaPolicy):
@@ -377,54 +374,59 @@ class FrameField:
     _thetas = property(lambda self: self.table.thetas)
     _rates = property(lambda self: self.table.rates)
 
-    def theta_at(self, t, fd: FrenetData, mid):
+    def theta_at(self, t, fd: FrenetData):
         """(theta, d(theta)/dt) at t, a float or a grid, whose Frenet data is
-        ``fd``; only samples with a frame but a NaN panel are bridged.  ``mid``
-        holds the rates at the panel midpoints (NaN if flat), None unless RMF.
-        A non-finite explicit theta or theta' is NaN (ExprDomainError at a float)."""
-        if not self.is_rmf:
-            j = ex.eval_jet(self.policy.theta, t, 1)
-            bad = ~(np.isfinite(j.value) & np.isfinite(j.d1))
-            return tuple(_guard(x, bad, lambda: ex.ExprDomainError(
-                f"theta={j.value}, theta'={j.d1} is not finite at s={t}"))
-                for x in (j.value, j.d1))
-        table = self.table
-        rate = _theta_rate(fd)
-        k, t0 = _panel(table.nodes, t)
-        th0 = table.thetas[k]
-        step = _simpson(t - t0, table.rates[k], mid, rate)
-        theta = np.where(np.isnan(rate), np.nan, np.where(t == t0, th0, th0 + step))
-        for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
-            # Bridge from the last node at or below t that has a Frenet frame.
-            j = int(np.flatnonzero(~np.isnan(table.rates[:np.ravel(k)[i] + 1]))[-1])
-            theta[i] = _theta_across_flat(self.curve, float(table.nodes[j]),
-                                          float(np.ravel(t)[i]), float(table.thetas[j]))
-        return (theta if isinstance(t, np.ndarray) else theta.item()), rate
+        ``fd``.  Under the RMF, theta' is the rate of ``fd`` and theta the
+        table's angle at the node k below t plus the integral from node k of
+        the cubic through four of the table's rates, at the half cells j to
+        j + 3 for j = clip(2k - 1, 0, 2n - 3) of n cells; a sample on a node
+        keeps the node's angle.  A sample with a rate whose cubic meets a
+        missing one is bridged from the last node at or below it with a rate.
+        A non-finite theta or theta' is NaN on a grid; at a float it raises
+        GeometryError (RMF) or ExprDomainError (explicit theta)."""
+        if self.is_rmf:
+            table, rate = self.table, _theta_rate(fd)
+            nodes, n = table.nodes, len(table.nodes) - 1
+            h = float(nodes[-1] - nodes[0]) / n
+            k = np.fmin(np.fmax((t - nodes[0]) // h, 0), n - 1).astype(int)  # NaN -> 0
+            xk = np.minimum(k, 1)  # node k in half cells from the cubic's first one
+            half = np.empty(2 * n + 1)
+            half[::2], half[1::2] = table.rates, table.mids
+            j = 2 * k - xk
+            step = sum((a - xk * b) * half[j + i] for i, (a, b) in enumerate(zip(
+                _cubic_integrals(xk + 2.0 * (t - nodes[k]) / h), _CUBIC_INTEGRALS_AT_1)))
+            th0 = table.thetas[k]
+            theta = np.where(np.isnan(rate), np.nan,
+                             np.where(t == nodes[k], th0, th0 + h / 48.0 * step))
+            for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
+                # Bridge from the last node at or below t that has a Frenet frame.
+                b = int(np.flatnonzero(~np.isnan(table.rates[:np.ravel(k)[i] + 1]))[-1])
+                start = float(nodes[b]), float(np.ravel(t)[i]), float(table.thetas[b])
+                np.ravel(theta)[i] = _theta_across_flat(self.curve, *start)
+            theta = theta if isinstance(t, np.ndarray) else theta.item()
+            error = lambda: GeometryError(
+                f"theta={theta} (tau={fd.tau}) is not finite at s={t}")
+        else:
+            jet = ex.eval_jet(self.policy.theta, t, 1)
+            theta, rate = jet.value, jet.d1
+            error = lambda: ex.ExprDomainError(
+                f"theta={theta}, theta'={rate} is not finite at s={t}")
+        bad = ~(np.isfinite(theta) & np.isfinite(rate))
+        return tuple(_guard(x, bad, error) for x in (theta, rate))
 
     def frenet_at(self, t) -> FrenetData:
         return frenet(self.curve, t)
 
     def frame_at(self, t):
         """(FrenetData, AdaptedFrame) at t; a grid has NaN N, B, U, V where
-        kappa = 0.  Under the RMF the Frenet data at t and at its panel
-        midpoints come from one ``_stacked`` call, a float's midpoint a grid of
-        one, or, for a first grid query, from the table's own calls."""
-        if not self.is_rmf:
-            fd, mid = self.frenet_at(t), None
-        elif (first := self._first_query(t)) is not None:
-            fd, mid = first
-        else:
-            fd, at_mid = ex._stacked(self.frenet_at, _query_grids(self.table.nodes, t))
-            mid = _theta_rate(at_mid)
-        theta, theta_prime = self.theta_at(t, fd, mid)
+        kappa = 0.  The Frenet data come from one call at t alone, or, for a
+        first grid query under the RMF, from the table's first call."""
+        fd = None
+        if self.is_rmf and self._table is None and isinstance(t, np.ndarray):
+            self._table, fd = theta_rmf(self.curve, self.policy.theta0, self._grid,
+                                        tol=TOL_TABLE, query=t)
+        elif self.is_rmf:
+            self.table  # built before the query's call, so that its error comes first
+        fd = fd or self.frenet_at(t)
+        theta, theta_prime = self.theta_at(t, fd)
         return fd, adapted_frame(fd, theta, theta_prime)
-
-    def _first_query(self, t):
-        """(FrenetData, midpoint rates) of a grid ``t`` from the table's own
-        Frenet calls, which build the table; None once it is built, at a
-        float, and where the calls with ``t`` raise (``t`` then takes its own)."""
-        if self._table is not None or not isinstance(t, np.ndarray):
-            return None
-        self._table, fd, at_mid = theta_rmf(self.curve, self.policy.theta0,
-                                            self._grid, tol=TOL_TABLE, query=t)
-        return None if fd is None or at_mid is None else (fd, _theta_rate(at_mid))

@@ -167,20 +167,20 @@ def test_turned_down_table_evaluates_each_rate_once(monkeypatch):
 
 
 @pytest.mark.parametrize("xyz, cells, passes", [
-    (("s", "s^2", "s^3"), 2048, [513 + 2 * 101, 3584 + 101]),
-    (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), 256, [513 + 2 * 101]),
+    (("s", "s^2", "s^3"), 2048, [513 + 101, 3584]),
+    (("3/5*cos(s)", "3/5*sin(s)", "4/5*s"), 256, [513 + 101]),
 ])
 def test_first_grid_query_rides_on_the_table_passes(monkeypatch, xyz, cells, passes):
-    # The first pass takes the 256-cell nodes and midpoints, the query and its
-    # 256-cell panel midpoints; a turned-down table's pass adds the query's
-    # 2048-cell panel midpoints alone.  A later query takes its own call.
+    # The first pass takes the 256-cell nodes and midpoints and the query; a
+    # turned-down table's pass takes table points alone.  A later query takes
+    # its own call on its own points.
     counts = _counting_frenet(monkeypatch)
     field = FrameField(CurveDef.from_strings(*xyz, -1, 1), RotationMinimizing(0.0))
     assert counts == []
     field.frame_at(np.linspace(-1.0, 1.0, 101))
     assert counts == passes and field.cells == cells
     field.frame_at(np.linspace(-0.5, 0.5, 7))
-    assert counts == passes + [14]
+    assert counts == passes + [7]
 
 
 def _frames_bytes(field, t):
