@@ -202,9 +202,6 @@ def _cubic_integrals(x):
             x * x * (4.0 + x * (-4.0 + x)))
 
 
-_CUBIC_INTEGRALS_AT_1 = _cubic_integrals(1.0)
-
-
 def _frenet_pass(c: CurveDef, grids, extra=()) -> list:
     """The FrenetData of each of ``grids``, then of each of ``extra``, from one
     :func:`curve.frenet` call on them all.  Where that call raises, ``grids``
@@ -381,26 +378,25 @@ class FrameField:
         the cubic through four of the table's rates, at the half cells j to
         j + 3 for j = clip(2k - 1, 0, 2n - 3) of n cells; a sample on a node
         keeps the node's angle.  A sample with a rate whose cubic meets a
-        missing one is bridged from the last node at or below it with a rate.
+        missing one is bridged from the last node at or below it with a rate,
+        or from node 0, whose angle is theta0, if none has one.
         A non-finite theta or theta' is NaN on a grid; at a float it raises
         GeometryError (RMF) or ExprDomainError (explicit theta)."""
         if self.is_rmf:
             table, rate = self.table, _theta_rate(fd)
-            nodes, n = table.nodes, len(table.nodes) - 1
+            nodes, rates, n = table.nodes, table.rates, len(table.nodes) - 1
             h = float(nodes[-1] - nodes[0]) / n
             k = np.fmin(np.fmax((t - nodes[0]) // h, 0), n - 1).astype(int)  # NaN -> 0
             xk = np.minimum(k, 1)  # node k in half cells from the cubic's first one
-            half = np.empty(2 * n + 1)
-            half[::2], half[1::2] = table.rates, table.mids
-            j = 2 * k - xk
-            step = sum((a - xk * b) * half[j + i] for i, (a, b) in enumerate(zip(
-                _cubic_integrals(xk + 2.0 * (t - nodes[k]) / h), _CUBIC_INTEGRALS_AT_1)))
+            half = np.append(np.column_stack((rates[:-1], table.mids)), rates[-1])
+            step = sum((a - b) * half[2 * k - xk + i] for i, (a, b) in enumerate(zip(
+                _cubic_integrals(xk + 2.0 * (t - nodes[k]) / h), _cubic_integrals(xk))))
             th0 = table.thetas[k]
             theta = np.where(np.isnan(rate), np.nan,
                              np.where(t == nodes[k], th0, th0 + h / 48.0 * step))
             for i in np.flatnonzero(np.isnan(theta) & ~np.isnan(rate)).tolist():
-                # Bridge from the last node at or below t that has a Frenet frame.
-                b = int(np.flatnonzero(~np.isnan(table.rates[:np.ravel(k)[i] + 1]))[-1])
+                # Bridge from the last node at or below t with a rate, or node 0.
+                b = max(np.flatnonzero(~np.isnan(rates[:np.ravel(k)[i] + 1])), default=0)
                 start = float(nodes[b]), float(np.ravel(t)[i]), float(table.thetas[b])
                 np.ravel(theta)[i] = _theta_across_flat(self.curve, *start)
             theta = theta if isinstance(t, np.ndarray) else theta.item()

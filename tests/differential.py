@@ -2,13 +2,15 @@
 
 Each config draws a curve (smooth, straight, with a curvature-free node, a
 cusp, a cusp beside a curvature-free node, a curvature-free start with a
-later cusp, a pole, a square root, or a speed of 1e110), a theta policy (the RMF
+later cusp, a pole, a square root, a speed of 1e110, or a third derivative
+that overflows near the middle or the start of a range), a theta policy (the RMF
 from a random theta0, or an explicit expression), director coefficients from
 a pool that fails at some, every or no sample, a ``v_range`` up to +-1e200,
 and sometimes tolerances and expectations.  Each config runs through
 ``frames``, ``surface``, ``classify`` (as CSV and as JSON) and ``verify``,
 each in a fresh directory through ``cli.main`` in this process.  The table
-maps ``<config>:<run>`` to the exit code, the stderr text, the SHA-256 of the
+maps ``<config>:<run>`` to the exit code (for an exception that escapes
+``main``, its class and message), the stderr text, the SHA-256 of the
 output file (null if none), the names of the files left behind, and
 ``nonfinite``: whether a run that exited 0 or 1 wrote a non-finite number
 where a verdict or a mesh rests on it (a ``classify`` JSON ``max_abs_det``,
@@ -66,6 +68,11 @@ BAD_CURVES = [
     ("s^3", "2*s^3", "s^5/5 - 0.0009765625*s^4/2 + 0.0009765625^2*s^3/3"),
     # on [0, 1]: kappa = 0 at s = 0, |r'| = 0 at s = 0.5
     ("(s-0.5)^3/3", "s^5/5 - s^4/4 + s^3/12", "0"),
+    # the third derivative overflows around s = 0.305: tau is infinite or NaN there
+    ("s", "s^2/2 + 1e308*(atan(100*(s-0.305))/10000)*1e-308",
+     "1e308*(atan(100*(s-0.305))/10000)*1e-308"),
+    # the same at s = 0: on [0, 1], no node up to about s = 0.04 has a rate
+    ("s", "s^2/2 + 1e308*(atan(100*s)/10000)*1e-308", "1e308*(atan(100*s)/10000)*1e-308"),
 ]
 RANGES = [(-1.0, 1.0), (0.0, 1.0), (-5.0, 5.0), (0.5, 2.0), (-2.0, 0.3)]
 THETAS = ["s", "atan(s)", "0", "s^2", "sin(s)"]
@@ -152,8 +159,11 @@ def run_one(main, doc: dict, cmd: str, extra: list) -> dict:
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([cmd.split("-")[0], "--config", str(cfg), "--out", str(out),
-                         *extra])
+            try:
+                code = main([cmd.split("-")[0], "--config", str(cfg), "--out", str(out),
+                             *extra])
+            except Exception as exc:  # an escaped exception is its own exit value
+                code = f"{type(exc).__name__}: {exc}"
         data = out.read_bytes() if out.exists() else None
         left = sorted(set(os.listdir(tmp)) - {"config.json", "out"})
         return {"exit": code, "stderr": err.getvalue().replace(tmp, "<dir>"),

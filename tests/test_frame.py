@@ -459,6 +459,23 @@ def test_theta_at_bridges_from_flat_node_below():
     assert float(np.dot(af_m.U, af_p.U)) > 1 - 1e-6
 
 
+def test_theta_at_bridges_from_node_0_where_no_node_below_has_a_rate():
+    # r''' overflows from s = 0 to about 0.04, so no table node there has a
+    # rate; a query just past that stretch whose cubic meets a missing rate
+    # bridges from node 0, whose angle is theta0, and joins the cubic smoothly.
+    g = "1e308*(atan(100*s)/10000)*1e-308"
+    field = FrameField(CurveDef.from_strings("s", f"s^2/2 + {g}", g, 0, 1),
+                       RotationMinimizing(0.0))
+    with np.errstate(all="ignore"):
+        j = int(np.flatnonzero(~np.isnan(field._rates))[0])
+        t = np.linspace(field._nodes[j - 1], field._nodes[j + 2], 13)
+        _, af = field.frame_at(t)
+        floats = [field.frame_at(float(x))[1].theta for x in t[2:]]
+    assert j > 1 and np.isnan(field._rates[:j]).all()
+    assert np.isnan(af.theta[:2]).all() and af.theta[2:].tolist() == floats
+    assert np.ptp(np.diff(af.theta[2:], 3)) < 1e-8
+
+
 def test_non_finite_explicit_theta_is_located(helix):
     # 1e200*1e200*s overflows without a DSL error: a float call names theta
     # and s, and a grid is NaN there.

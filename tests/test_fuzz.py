@@ -1,7 +1,9 @@
 """Fuzzed config documents and DSL strings through ``cli.main``.
 
 Whatever the input, ``main`` returns a documented exit code, never raises,
-prints exactly one stderr line when it fails and then leaves no file behind.
+prints exactly one stderr line when it fails and then leaves no file behind,
+and when it succeeds or a check fails, writes no non-finite number that a
+verdict or a mesh rests on (``differential.nonfinite``).
 """
 
 import contextlib
@@ -11,9 +13,10 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from differential import RUNS, nonfinite
 from rmfruled.cli import main
 
 # Expressions that leave their domain on only some nodes of a range through 0
@@ -23,6 +26,10 @@ _DSL_POOL = ["s", "0", "1", "s^2", "-s^3", "3/5*cos(s)", "3/5*sin(s)", "4/5*s",
              "s^-1", "s^0.5", "exp(s)", "exp(s)*exp(s)", "1/(s-0.5)", "s/s",
              "sin(1e308*s)", "s^400", "log(abs(s))", "2^3^4^5"]
 _DSL_CHARS = "s0123456789.+-*/^() eplogisnctaqrbx"
+# Wrappers whose value is that of the expression inside, but whose
+# intermediate values or derivatives overflow.
+_OVERFLOW_WRAPPERS = ["1e308*({})*1e-308", "({})*1e300*1e10/1e10/1e300",
+                      "exp(700)*({})/exp(700)", "({})+1e-320", "atan(1e300*({}))"]
 
 
 def _dsl():
@@ -38,7 +45,10 @@ def _dsl():
                 lambda t: f"({t[0]})^{t[1]}"),
         ), max_leaves=6)
     garbage = st.text(alphabet=_DSL_CHARS, max_size=12)
-    return st.one_of(st.sampled_from(_DSL_POOL), generated, garbage,
+    wrapped = st.tuples(st.sampled_from(_OVERFLOW_WRAPPERS),
+                        st.one_of(st.sampled_from(_DSL_POOL), generated)).map(
+        lambda t: t[0].format(t[1]))
+    return st.one_of(st.sampled_from(_DSL_POOL), generated, garbage, wrapped,
                      st.sampled_from([None, 3, [], {}]))
 
 
@@ -76,10 +86,28 @@ def _documents(draw):
     return doc
 
 
-@given(_documents(), st.sampled_from(["frames", "surface", "classify", "verify"]))
+def _g_doc(at: str, n_s: int) -> dict:
+    """example2 under the RMF on a curve whose third derivative overflows
+    around s = ``at``, so that tau is infinite or NaN at some angle-table nodes."""
+    g = f"1e308*(atan(100*(s-{at}))/10000)*1e-308"
+    return {"curve": {"x": "s", "y": f"s^2/2 + {g}", "z": g, "s_range": [0, 1]},
+            "theta": {"mode": "rmf", "theta0": 0},
+            "director": {"x1": "s^2", "x2": "s", "x3": "-s^2"},
+            "grid": {"n_s": n_s, "n_v": 11, "v_range": [-1, 1]},
+            "expect": {"asymptotic": True, "geodesic": False}}
+
+
+@given(_documents(), st.sampled_from(RUNS))
+@example(_g_doc("0.305", 101), RUNS[0])
+@example(_g_doc("0.305", 3), RUNS[1])
+@example(_g_doc("0.305", 3), RUNS[3])
+@example(_g_doc("0.305", 3), RUNS[4])
+# No node from s = 0 to about 0.04 has a rate: later queries bridge from node 0.
+@example(_g_doc("0", 1001), RUNS[3])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_fuzzed_config_ends_in_documented_exit_code(doc, command):
+def test_fuzzed_config_ends_in_documented_exit_code(doc, run):
+    name, extra = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "job.json")
         with open(cfg, "w") as fh:
@@ -91,7 +119,7 @@ def test_fuzzed_config_ends_in_documented_exit_code(doc, command):
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([command, "--config", cfg, "--out", out])
+            code = main([name.split("-")[0], "--config", cfg, "--out", out, *extra])
         assert code in (0, 1, 2, 3)
         assert not caught, [str(w.message) for w in caught]
         if code in (2, 3):
@@ -101,3 +129,5 @@ def test_fuzzed_config_ends_in_documented_exit_code(doc, command):
         else:
             assert err.getvalue() == ""
             assert os.listdir(out_dir) == ["result"]
+            with open(out) as fh:
+                assert not nonfinite(name, fh.read())
